@@ -35,7 +35,6 @@ from .normal import std_normal_cdf, std_normal_quantile  # noqa: E402
 from .pooling import (  # noqa: E402
     PooledResult,
     PoolingMethod,
-    heterogeneity_stats,
     pool_dersimonian_laird,
     pool_fixed,
 )
@@ -57,7 +56,6 @@ from .report import (  # noqa: E402
     canonical_json,
     conversion_rows,
     file_digest,
-    pooled_dict,
 )
 from .reproduce import reproduction_figures, run_reproduction  # noqa: E402
 from .search_space import (  # noqa: E402
@@ -67,7 +65,6 @@ from .search_space import (  # noqa: E402
     block_search_space,
     cohort_false_positives,
     expected_false_positives,
-    study_search_space,
     summarize_ledger,
 )
 from .simulate import (  # noqa: E402
@@ -114,7 +111,6 @@ __all__ = [
     "conversion_rows",
     "expected_false_positives",
     "file_digest",
-    "heterogeneity_stats",
     "ingest_counts",
     "ingest_effects",
     "interval_multiplier",
@@ -132,7 +128,6 @@ __all__ = [
     "standard_error",
     "std_normal_cdf",
     "std_normal_quantile",
-    "study_search_space",
     "summarize_ledger",
     "z_score",
 ]

@@ -22,6 +22,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
@@ -31,7 +32,7 @@ from .errors import AuditError, ConfigError
 from .ingest import ingest_counts, ingest_effects
 from .pooling import pool_dersimonian_laird, pool_fixed
 from .pvplot import PlotConfig, classify_plot, plot_from_effects, render_plot
-from .report import audit_report, canonical_json, file_digest, pooled_dict
+from .report import audit_report, canonical_json, file_digest
 from .reproduce import run_reproduction
 from .search_space import expected_false_positives, cohort_false_positives, summarize_ledger
 from .simulate import Scenario, SimulationConfig, run_simulation
@@ -97,7 +98,7 @@ def _cmd_pool(args: argparse.Namespace) -> int:
     payload = {
         "version": __version__,
         "input": file_digest(args.input, len(effects)),
-        "result": pooled_dict(result),
+        "result": result,
     }
     _write_text(args.output, canonical_json(payload))
     return 0
@@ -107,12 +108,12 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     path = Path(args.input)
     effects = ingest_effects(path)
     method = ConversionMethod(args.method)
-    config = PlotConfig(alpha=args.alpha, title=path.stem)
+    config = PlotConfig()
     plot = plot_from_effects(effects, method, alpha=args.alpha)
     classification = classify_plot(plot, config)
     pooled = {
-        "fixed": pooled_dict(pool_fixed(effects)),
-        "dersimonian_laird": pooled_dict(pool_dersimonian_laird(effects)),
+        "fixed": pool_fixed(effects),
+        "dersimonian_laird": pool_dersimonian_laird(effects),
     }
     report = audit_report(
         file_digest(path, len(effects)),
@@ -126,8 +127,8 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = {
-        f"{path.stem}_plot.svg": render_plot(plot, classification, config, "svg"),
-        f"{path.stem}_plot.csv": render_plot(plot, classification, config, "csv"),
+        f"{path.stem}_plot.svg": render_plot(plot, classification, path.stem, "svg"),
+        f"{path.stem}_plot.csv": render_plot(plot, classification, path.stem, "csv"),
         f"{path.stem}_audit.json": canonical_json(report),
     }
     for name, text in written.items():
@@ -153,13 +154,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
                 "paper_label": study.paper_label,
                 "region": study.region,
                 "blocks": [
-                    {
-                        "block_label": block.block_label,
-                        "outcomes": block.outcomes,
-                        "predictors": block.predictors,
-                        "covariates": block.covariates,
-                        "search_space": block.search_space(),
-                    }
+                    {**asdict(block), "search_space": block.search_space()}
                     for block in study.blocks
                 ],
                 "search_space": study.search_space(),
@@ -170,13 +165,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
             for study in studies
         ],
         "summary": {
-            "n": summary.n,
-            "minimum": summary.minimum,
-            "lower_quartile": summary.lower_quartile,
-            "median": summary.median,
-            "upper_quartile": summary.upper_quartile,
-            "maximum": summary.maximum,
-            "mean": summary.mean,
+            **asdict(summary),
             "mean_rounded": summary.mean_rounded(),
             "median_expected_false_positives": args.alpha * summary.median,
         },
@@ -199,10 +188,20 @@ def _cmd_cohort(args: argparse.Namespace) -> int:
     return 0
 
 
+def _number(path: str, key: str, value: Any) -> float:
+    """A JSON number as a float; anything else is a ConfigError naming key."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{path}: {key} must be a finite number, got {value!r}")
+
+
 def _load_sim_config(path: str) -> SimulationConfig:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: simulation config must be a JSON object")
@@ -222,12 +221,11 @@ def _load_sim_config(path: str) -> SimulationConfig:
         se_range = raw["se_range"]
         if not isinstance(se_range, (list, tuple)) or len(se_range) != 2:
             raise ConfigError(f"{path}: se_range must be a [low, high] pair")
-        kwargs["se_low"] = float(se_range[0])
-        kwargs["se_high"] = float(se_range[1])
-    if "log_or" in raw:
-        kwargs["log_or"] = float(raw["log_or"])
-    if "effect_fraction" in raw:
-        kwargs["effect_fraction"] = float(raw["effect_fraction"])
+        kwargs["se_low"] = _number(path, "se_range", se_range[0])
+        kwargs["se_high"] = _number(path, "se_range", se_range[1])
+    for key in ("log_or", "effect_fraction"):
+        if key in raw:
+            kwargs[key] = _number(path, key, raw[key])
     return SimulationConfig(
         scenario=scenario,
         k=raw["k"],
@@ -241,6 +239,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_sim_config(args.config)
     report = run_simulation(config)
     payload = {
+        **asdict(report),
         "version": __version__,
         "config": {
             "scenario": config.scenario.value,
@@ -252,10 +251,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "effect_fraction": config.effect_fraction,
         },
         "verdict_counts": dict(report.verdict_counts),
-        "mean_fraction_below_alpha": report.mean_fraction_below_alpha,
-        "mean_ks_statistic": report.mean_ks_statistic,
-        "mean_ks_p": report.mean_ks_p,
-        "fraction_ks_pass": report.fraction_ks_pass,
     }
     _write_text(args.output, canonical_json(payload))
     return 0

@@ -27,7 +27,7 @@ from .errors import (
     InvalidIntervalError,
     SERecoveryError,
 )
-from .normal import std_normal_cdf, std_normal_quantile
+from .normal import std_normal_quantile, two_sided_p
 
 
 class ConversionMethod(Enum):
@@ -55,25 +55,30 @@ class EffectEstimate:
 
     def __post_init__(self) -> None:
         if not self.study_label or not self.study_label.strip():
-            raise DomainError("study_label must be a non-empty string")
+            raise DomainError("study_label must be a non-empty string", field="study_label")
         for name in ("odds_ratio", "ci_low", "ci_high", "ci_level"):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise DomainError(f"{name} must be a real number, got {value!r}")
+                raise DomainError(f"{name} must be a real number, got {value!r}", field=name)
             if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value!r}")
+                raise DomainError(f"{name} must be finite, got {value!r}", field=name)
         if self.odds_ratio <= 0.0:
-            raise DomainError(f"odds_ratio must be positive, got {self.odds_ratio}")
+            raise DomainError(
+                f"odds_ratio must be positive, got {self.odds_ratio}", field="odds_ratio"
+            )
         if self.ci_low <= 0.0:
             raise InvalidIntervalError(
-                f"ci_low must be positive, got {self.ci_low}"
+                f"ci_low must be positive, got {self.ci_low}", field="ci_low"
             )
         if self.ci_high <= self.ci_low:
             raise InvalidIntervalError(
-                f"interval is inverted or empty: ({self.ci_low}, {self.ci_high})"
+                f"interval is inverted or empty: ({self.ci_low}, {self.ci_high})",
+                field="ci_high",
             )
         if not 0.0 < self.ci_level < 1.0:
-            raise DomainError(f"ci_level must be inside (0, 1), got {self.ci_level}")
+            raise DomainError(
+                f"ci_level must be inside (0, 1), got {self.ci_level}", field="ci_level"
+            )
         if not self.ci_low <= self.odds_ratio <= self.ci_high:
             warnings.warn(
                 f"{self.display_label()}: odds ratio {self.odds_ratio} lies "
@@ -125,14 +130,8 @@ def z_score(estimate: EffectEstimate, method: ConversionMethod) -> float:
 
 
 def p_from_effect(estimate: EffectEstimate, method: ConversionMethod) -> float:
-    """Two-sided p-value, p = 2 * (1 - Phi(|z|)).
-
-    Computed as 2 * Phi(-|z|), which is the same quantity evaluated without
-    the intermediate 1 - x cancellation. Returns exactly 1.0 at z = 0 and
-    exactly 0.0 once |z| reaches the CDF saturation point.
-    """
-    z = z_score(estimate, method)
-    return min(1.0, 2.0 * std_normal_cdf(-abs(z)))
+    """Two-sided p-value of the estimate's z-score; see normal.two_sided_p."""
+    return two_sided_p(z_score(estimate, method))
 
 
 def ci_from_p(

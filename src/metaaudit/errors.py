@@ -9,7 +9,15 @@ from __future__ import annotations
 
 
 class AuditError(ValueError):
-    """Base class for all input and domain failures."""
+    """Base class for all input and domain failures.
+
+    field names the input field at fault when there is one, so that a
+    reader of tabular input can report the column that caused the error.
+    """
+
+    def __init__(self, message: str = "", *, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class DomainError(AuditError):

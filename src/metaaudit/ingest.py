@@ -125,7 +125,7 @@ def ingest_effects(path: str | Path) -> list[EffectEstimate]:
                 )
             )
         except AuditError as exc:
-            diagnostics.append((line, "odds_ratio", str(exc)))
+            diagnostics.append((line, exc.field, str(exc)))
     if diagnostics:
         raise CsvFormatError(path.name, diagnostics)
     return effects
@@ -161,7 +161,7 @@ def ingest_counts(path: str | Path) -> list[StudyCounts]:
         try:
             block_search_space(**counts)
         except AuditError as exc:
-            diagnostics.append((line, "covariates", str(exc)))
+            diagnostics.append((line, exc.field, str(exc)))
             continue
         region = row.get("region", "")
         if label not in regions:

@@ -118,6 +118,16 @@ def std_normal_cdf(z: float) -> float:
     return 1.0 - _upper_tail(z)
 
 
+def two_sided_p(z: float) -> float:
+    """Two-sided p-value of a standard normal z-score, 2 * (1 - Phi(|z|)).
+
+    Computed as 2 * Phi(-|z|), which is the same quantity evaluated without
+    the intermediate 1 - x cancellation. Returns exactly 1.0 at z = 0 and
+    exactly 0.0 once |z| reaches the CDF saturation point.
+    """
+    return min(1.0, 2.0 * std_normal_cdf(-abs(z)))
+
+
 def std_normal_quantile(p: float) -> float:
     """Inverse of std_normal_cdf on the open interval (0, 1).
 

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .effects import ConversionMethod, EffectEstimate, interval_multiplier, standard_error
 from .errors import EmptyInputError
-from .normal import std_normal_cdf
+from .normal import two_sided_p
 
 
 class PoolingMethod(Enum):
@@ -129,7 +129,6 @@ def _result(
         ws = [1.0 / (v + tau2) for v in vs]
     mean, se = _weighted_mean(ys, ws)
     mult = interval_multiplier(ci_level)
-    p = min(1.0, 2.0 * std_normal_cdf(-abs(mean / se)))
     return PooledResult(
         k=len(ordered),
         pooled_log_or=mean,
@@ -137,7 +136,7 @@ def _result(
         pooled_or=math.exp(mean),
         ci_low=math.exp(mean - mult * se),
         ci_high=math.exp(mean + mult * se),
-        p_value=p,
+        p_value=two_sided_p(mean / se),
         q_statistic=q,
         tau_squared=tau2,
         i_squared=i2,
@@ -187,18 +186,3 @@ def pool_dersimonian_laird(
     """
     return _result(effects, PoolingMethod.DERSIMONIAN_LAIRD, ci_level)
 
-
-def heterogeneity_stats(
-    effects: Sequence[EffectEstimate],
-) -> tuple[float, float, float]:
-    """(Q, tau^2, I^2) of a study set without pooling it.
-
-    Returns
-    -------
-    tuple of float
-        Cochran's Q, the DerSimonian-Laird tau^2 estimate and I^2.
-    """
-    if not effects:
-        raise EmptyInputError("heterogeneity requires at least one study")
-    ys, vs = _log_scale(_canonical(effects))
-    return _heterogeneity(ys, vs)

@@ -10,7 +10,7 @@ The classifier operationalizes those visual readings with explicit
 thresholds (see PlotConfig) and checks them in a fixed order:
 
 1. EFFECT_LINE if more than effect_majority_fraction of the p-values fall
-   below alpha.
+   below the plot's alpha.
 2. UNIFORM45 if a one-sample Kolmogorov-Smirnov test against Uniform(0, 1)
    does not reject (p >= uniform_ks_threshold) and the count below alpha is
    consistent with uniformity (exact binomial upper-tail test at
@@ -41,6 +41,12 @@ from typing import Sequence
 from .effects import ConversionMethod, EffectEstimate, p_from_effect
 from .errors import ConfigError, DomainError, EmptyInputError
 
+# SVG canvas, in pixels.
+_WIDTH = 640
+_HEIGHT = 480
+_MARGIN = 64
+_POINT_RADIUS = 4.0
+
 
 class PlotVerdict(Enum):
     UNIFORM45 = "uniform45"
@@ -51,23 +57,21 @@ class PlotVerdict(Enum):
 
 @dataclass(frozen=True)
 class PlotConfig:
-    """Thresholds and rendering parameters for p-value plots."""
+    """Classifier thresholds for p-value plots.
 
-    alpha: float = 0.05
+    The significance level is not here: it belongs to the plot itself
+    (PValuePlot.alpha), which the classifier reads.
+    """
+
     uniform_ks_threshold: float = 0.05
     uniform_count_level: float = 0.05
     effect_majority_fraction: float = 0.5
     bilinear_min_segment: int = 3
     bilinear_rss_reduction: float = 0.5
     min_points: int = 5
-    width: int = 640
-    height: int = 480
-    margin: int = 64
-    point_radius: float = 4.0
-    title: str = ""
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "uniform_ks_threshold", "uniform_count_level",
+        for name in ("uniform_ks_threshold", "uniform_count_level",
                      "effect_majority_fraction", "bilinear_rss_reduction"):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool) \
@@ -79,14 +83,6 @@ class PlotConfig:
             )
         if not isinstance(self.min_points, int) or self.min_points < 1:
             raise ConfigError(f"min_points must be an integer >= 1, got {self.min_points!r}")
-        for name in ("width", "height"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value <= 0:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-        if not isinstance(self.margin, int) or self.margin < 0:
-            raise ConfigError(f"margin must be a non-negative integer, got {self.margin!r}")
-        if self.point_radius <= 0:
-            raise ConfigError(f"point_radius must be positive, got {self.point_radius!r}")
 
 
 @dataclass(frozen=True)
@@ -289,7 +285,7 @@ def classify_plot(
     """Classify a plot's shape; see the module docstring for the rules."""
     ps = [p for _, p in plot.points]
     n = plot.n
-    below = sum(1 for p in ps if p < config.alpha)
+    below = plot.n_below_alpha
     fraction = below / n
     stat = ks_statistic(ps)
     ks_p = ks_pvalue(stat, n)
@@ -309,7 +305,7 @@ def classify_plot(
     if fraction > config.effect_majority_fraction:
         return PlotClassification(PlotVerdict.EFFECT_LINE, diagnostics)
     admissible = _admissible_below_alpha(
-        n, config.alpha, config.uniform_count_level
+        n, plot.alpha, config.uniform_count_level
     )
     if ks_p >= config.uniform_ks_threshold and below <= admissible:
         return PlotClassification(PlotVerdict.UNIFORM45, diagnostics)
@@ -319,7 +315,7 @@ def classify_plot(
         if (
             single_rss > 0.0
             and total <= (1.0 - config.bilinear_rss_reduction) * single_rss
-            and first_mean < config.alpha
+            and first_mean < plot.alpha
         ):
             return PlotClassification(PlotVerdict.BILINEAR, diagnostics)
     return PlotClassification(PlotVerdict.AMBIGUOUS, diagnostics)
@@ -341,17 +337,12 @@ def _svg_escape(text: str) -> str:
 def _render_svg(
     plot: PValuePlot,
     classification: PlotClassification | None,
-    config: PlotConfig,
+    title: str,
 ) -> str:
-    left = float(config.margin)
-    right = float(config.width - 24)
+    left = float(_MARGIN)
+    right = float(_WIDTH - 24)
     top = 40.0
-    bottom = float(config.height - config.margin)
-    if right <= left or bottom <= top:
-        raise ConfigError(
-            f"render area is empty for width={config.width}, height={config.height}, "
-            f"margin={config.margin}"
-        )
+    bottom = float(_HEIGHT - _MARGIN)
     n = plot.n
 
     def x(rank: float) -> float:
@@ -362,17 +353,17 @@ def _render_svg(
 
     parts: list[str] = []
     parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{config.width}" '
-        f'height="{config.height}" viewBox="0 0 {config.width} {config.height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     )
     parts.append(
-        f'<rect x="0" y="0" width="{config.width}" height="{config.height}" fill="#ffffff"/>'
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>'
     )
-    if config.title:
+    if title:
         parts.append(
             f'<text x="{_fmt((left + right) / 2)}" y="22" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14" fill="#000000">'
-            f"{_svg_escape(config.title)}</text>"
+            f"{_svg_escape(title)}</text>"
         )
     parts.append(
         f'<path d="M {_fmt(left)} {_fmt(top)} L {_fmt(left)} {_fmt(bottom)} '
@@ -416,7 +407,7 @@ def _render_svg(
         f'<text x="{_fmt(right)}" y="{_fmt(yy - 4)}" text-anchor="end" '
         f'font-family="sans-serif" font-size="11" fill="#aa2222">alpha = {plot.alpha:g}</text>'
     )
-    radius = config.point_radius
+    radius = _POINT_RADIUS
     for (rank, p), is_negative in zip(plot.points, plot.negative):
         cx, cy = x(rank), y(p)
         if is_negative:
@@ -490,17 +481,19 @@ def _render_csv(plot: PValuePlot) -> str:
 def render_plot(
     plot: PValuePlot,
     classification: PlotClassification | None = None,
-    config: PlotConfig = PlotConfig(),
+    title: str = "",
     format: str = "svg",
 ) -> str:
     """Render a plot as an SVG document or a CSV table.
 
     Output depends only on the inputs, so repeated calls are byte
-    identical. The SVG marks negative-direction sources with diamonds and
-    draws the 45-degree uniform reference plus a dashed rule at alpha.
+    identical. The SVG marks negative-direction sources with diamonds,
+    draws the 45-degree uniform reference plus a dashed rule at alpha, and
+    heads the figure with title when it is not empty. The CSV ignores
+    classification and title.
     """
     if format == "svg":
-        return _render_svg(plot, classification, config)
+        return _render_svg(plot, classification, title)
     if format == "csv":
         return _render_csv(plot)
     raise DomainError(f"unknown render format: {format!r}")

@@ -2,7 +2,9 @@
 
 All JSON artifacts are emitted with sorted keys and floats rounded to six
 significant digits, so a report's bytes depend only on its content. Ints
-(including exact search-space counts) pass through untouched.
+(including exact search-space counts) pass through untouched. Dataclasses
+serialize as objects of their fields and enums as their values, so result
+types go into a report as they are.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import asdict, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -31,11 +35,18 @@ def _canonical_value(value: Any) -> Any:
         return {str(k): _canonical_value(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_canonical_value(v) for v in value]
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _canonical_value(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Enum):
+        return _canonical_value(value.value)
     raise DomainError(f"cannot serialize {type(value).__name__} to canonical JSON")
 
 
 def canonical_json(payload: Any) -> str:
-    """Deterministic JSON text: sorted keys, 6 significant digit floats."""
+    """Deterministic JSON text: sorted keys, 6 significant digit floats.
+
+    Dicts, lists, tuples, dataclasses and enums may nest to any depth.
+    """
     return json.dumps(_canonical_value(payload), sort_keys=True, indent=2) + "\n"
 
 
@@ -63,37 +74,6 @@ def conversion_rows(effects: Sequence[EffectEstimate]) -> list[dict[str, Any]]:
     ]
 
 
-def pooled_dict(result: PooledResult) -> dict[str, Any]:
-    return {
-        "k": result.k,
-        "pooled_log_or": result.pooled_log_or,
-        "pooled_se": result.pooled_se,
-        "pooled_or": result.pooled_or,
-        "ci_low": result.ci_low,
-        "ci_high": result.ci_high,
-        "ci_level": result.ci_level,
-        "p_value": result.p_value,
-        "q_statistic": result.q_statistic,
-        "tau_squared": result.tau_squared,
-        "i_squared": result.i_squared,
-        "method": result.method.value,
-    }
-
-
-def classification_dict(classification: PlotClassification) -> dict[str, Any]:
-    d = classification.diagnostics
-    return {
-        "verdict": classification.verdict.value,
-        "diagnostics": {
-            "ks_statistic": d.ks_statistic,
-            "ks_p": d.ks_p,
-            "fraction_below_alpha": d.fraction_below_alpha,
-            "changepoint_index": d.changepoint_index,
-            "segment_slopes": list(d.segment_slopes) if d.segment_slopes else None,
-        },
-    }
-
-
 def plot_dict(plot: PValuePlot) -> dict[str, Any]:
     return {
         "n": plot.n,
@@ -108,35 +88,27 @@ def plot_dict(plot: PValuePlot) -> dict[str, Any]:
     }
 
 
-def config_dict(config: PlotConfig) -> dict[str, Any]:
-    return {
-        "alpha": config.alpha,
-        "uniform_ks_threshold": config.uniform_ks_threshold,
-        "uniform_count_level": config.uniform_count_level,
-        "effect_majority_fraction": config.effect_majority_fraction,
-        "bilinear_min_segment": config.bilinear_min_segment,
-        "bilinear_rss_reduction": config.bilinear_rss_reduction,
-        "min_points": config.min_points,
-    }
-
-
 def audit_report(
     digest: dict[str, Any],
     effects: Sequence[EffectEstimate],
-    pooled: dict[str, dict[str, Any]],
+    pooled: dict[str, PooledResult],
     plot: PValuePlot,
     classification: PlotClassification,
     config: PlotConfig,
     method: ConversionMethod,
 ) -> dict[str, Any]:
-    """Full audit of one study set, every number regenerable from inputs."""
+    """Full audit of one study set, every number regenerable from inputs.
+
+    The config block holds the plot's alpha beside the classifier
+    thresholds it was judged by.
+    """
     return {
         "version": __version__,
         "input": digest,
         "method": method.value,
-        "config": config_dict(config),
+        "config": {"alpha": plot.alpha, **asdict(config)},
         "conversions": conversion_rows(effects),
         "pooled": pooled,
         "plot": plot_dict(plot),
-        "classification": classification_dict(classification),
+        "classification": classification,
     }

@@ -23,10 +23,11 @@ from pathlib import Path
 from typing import Any
 
 from . import __version__
-from .effects import ConversionMethod
+from .effects import ConversionMethod, EffectEstimate
 from .ingest import ingest_counts, ingest_effects
 from .pooling import pool_dersimonian_laird, pool_fixed
-from .pvplot import PlotConfig, PlotVerdict, classify_plot, plot_from_effects, render_plot
+from .pvplot import (PlotClassification, PlotVerdict, PValuePlot, classify_plot,
+                     plot_from_effects, render_plot)
 from .report import canonical_json, file_digest
 from .search_space import cohort_false_positives, expected_false_positives, summarize_ledger
 
@@ -142,20 +143,27 @@ def fixture_path(name: str) -> Path:
     return Path(__file__).parent / "fixtures" / name
 
 
-def _figure_config(dataset: str) -> PlotConfig:
-    return PlotConfig(title=FIGURE_TITLES[dataset])
+_EffectTable = tuple[Path, list[EffectEstimate], PValuePlot, PlotClassification]
+
+
+def _effect_table(dataset: str) -> _EffectTable:
+    """A bundled effect table: path, rows, NATURAL plot and its classification."""
+    path = fixture_path(f"{dataset}_effects.csv")
+    effects = ingest_effects(path)
+    plot = plot_from_effects(effects, ConversionMethod.NATURAL, alpha=ALPHA)
+    return path, effects, plot, classify_plot(plot)
+
+
+def _figures(tables: dict[str, _EffectTable]) -> dict[str, str]:
+    return {
+        filename: render_plot(*tables[dataset][2:], FIGURE_TITLES[dataset], "svg")
+        for dataset, filename in FIGURE_FILES.items()
+    }
 
 
 def reproduction_figures() -> dict[str, str]:
     """Both bundled p-value plots rendered as SVG text."""
-    figures = {}
-    for dataset, filename in FIGURE_FILES.items():
-        effects = ingest_effects(fixture_path(f"{dataset}_effects.csv"))
-        plot = plot_from_effects(effects, ConversionMethod.NATURAL, alpha=ALPHA)
-        config = _figure_config(dataset)
-        classification = classify_plot(plot, config)
-        figures[filename] = render_plot(plot, classification, config, "svg")
-    return figures
+    return _figures({dataset: _effect_table(dataset) for dataset in FIGURE_FILES})
 
 
 def run_reproduction(outdir: str | Path | None = None) -> dict[str, Any]:
@@ -190,15 +198,14 @@ def run_reproduction(outdir: str | Path | None = None) -> dict[str, Any]:
     fixtures: dict[str, Any] = {}
 
     # Study-effect tables: p-values, plot counts, shape verdicts.
+    tables = {dataset: _effect_table(dataset) for dataset in FIGURE_FILES}
     plots = {}
     for dataset, expected_rows in (
         ("asthma", EXPECTED_ASTHMA_P),
         ("wheeze", EXPECTED_WHEEZE_P),
     ):
-        path = fixture_path(f"{dataset}_effects.csv")
-        effects = ingest_effects(path)
+        path, effects, plot, _ = tables[dataset]
         fixtures[path.name] = file_digest(path, len(effects))
-        plot = plot_from_effects(effects, ConversionMethod.NATURAL, alpha=ALPHA)
         plots[dataset] = plot
         by_label = {
             label: p
@@ -222,7 +229,7 @@ def run_reproduction(outdir: str | Path | None = None) -> dict[str, Any]:
     )
     check("wheeze_significant_negative", 4, significant_negative, 0)
     for dataset in ("asthma", "wheeze"):
-        verdict = classify_plot(plots[dataset], _figure_config(dataset)).verdict
+        verdict = tables[dataset][3].verdict
         check(
             f"{dataset}_verdict_not_effect_line",
             1,
@@ -232,8 +239,7 @@ def run_reproduction(outdir: str | Path | None = None) -> dict[str, Any]:
 
     # Informational random-effects pools on the full row sets.
     for dataset in ("asthma", "wheeze"):
-        effects = ingest_effects(fixture_path(f"{dataset}_effects.csv"))
-        pooled = pool_dersimonian_laird(effects)
+        pooled = pool_dersimonian_laird(tables[dataset][1])
         targets = INFORMATIONAL_DL[dataset]
         check(f"{dataset}_dl_or", targets["or"], pooled.pooled_or, 0.0, gated=False)
         check(f"{dataset}_dl_ci_low", targets["ci_low"], pooled.ci_low, 0.0, gated=False)
@@ -306,6 +312,6 @@ def run_reproduction(outdir: str | Path | None = None) -> dict[str, Any]:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "reproduction.json").write_text(canonical_json(diff), encoding="utf-8")
-        for filename, svg in reproduction_figures().items():
+        for filename, svg in _figures(tables).items():
             (outdir / filename).write_text(svg, encoding="utf-8")
     return diff

@@ -18,9 +18,9 @@ MAX_COVARIATES = 128
 
 def _check_count(name: str, value: int, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
+        raise DomainError(f"{name} must be an integer, got {value!r}", field=name)
     if value < minimum:
-        raise DomainError(f"{name} must be >= {minimum}, got {value}")
+        raise DomainError(f"{name} must be >= {minimum}, got {value}", field=name)
     return value
 
 
@@ -31,7 +31,8 @@ def block_search_space(outcomes: int, predictors: int, covariates: int) -> int:
     _check_count("covariates", covariates, 0)
     if covariates > MAX_COVARIATES:
         raise OverflowGuardError(
-            f"covariates = {covariates} exceeds the guarded maximum of {MAX_COVARIATES}"
+            f"covariates = {covariates} exceeds the guarded maximum of {MAX_COVARIATES}",
+            field="covariates",
         )
     return outcomes * predictors * (1 << covariates)
 
@@ -74,11 +75,6 @@ class StudyCounts:
 
     def search_space(self) -> int:
         return sum(block.search_space() for block in self.blocks)
-
-
-def study_search_space(study: StudyCounts) -> int:
-    """Exact per-paper search space, summed over blocks."""
-    return study.search_space()
 
 
 def expected_false_positives(n_space: int, alpha: float) -> float:

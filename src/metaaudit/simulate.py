@@ -28,8 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .normal import std_normal_cdf, std_normal_quantile
-from .pvplot import PlotConfig, PlotVerdict, build_plot, classify_plot, ks_pvalue, ks_statistic
+from .normal import std_normal_quantile, two_sided_p
+from .pvplot import PlotConfig, PlotVerdict, build_plot, classify_plot
 
 _U53 = float(1 << 53)
 
@@ -125,7 +125,7 @@ def simulate_trial(config: SimulationConfig, trial_index: int) -> tuple[float, .
                 true_log_or = config.log_or
         z = std_normal_quantile(_open_uniform(rng))
         estimate = true_log_or + se * z
-        ps.append(min(1.0, 2.0 * std_normal_cdf(-abs(estimate / se))))
+        ps.append(two_sided_p(estimate / se))
     return tuple(ps)
 
 
@@ -134,39 +134,24 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
 
     The verdict histogram always sums to config.trials. KS aggregates are
     the per-trial mean statistic, mean asymptotic p and the fraction of
-    trials whose KS p clears the uniform threshold.
+    trials whose KS p clears the uniform threshold, all read from the
+    classifier's diagnostics.
     """
     counts: dict[str, int] = {v.value: 0 for v in PlotVerdict}
-    fractions = []
-    stats = []
-    ks_ps = []
-    alpha = config.plot_config.alpha
-    threshold = config.plot_config.uniform_ks_threshold
+    diagnostics = []
     for trial in range(config.trials):
         ps = simulate_trial(config, trial)
         labeled = [(f"study-{i + 1:03d}", p) for i, p in enumerate(ps)]
-        plot = build_plot(labeled, alpha=alpha)
-        verdict = classify_plot(plot, config.plot_config).verdict
-        counts[verdict.value] += 1
-        fractions.append(plot.n_below_alpha / plot.n)
-        stat = ks_statistic(ps)
-        stats.append(stat)
-        ks_ps.append(ks_pvalue(stat, len(ps)))
+        classification = classify_plot(build_plot(labeled), config.plot_config)
+        counts[classification.verdict.value] += 1
+        diagnostics.append(classification.diagnostics)
+    threshold = config.plot_config.uniform_ks_threshold
+    n = config.trials
     return SimulationReport(
         config=config,
         verdict_counts=tuple(sorted(counts.items())),
-        mean_fraction_below_alpha=math.fsum(fractions) / config.trials,
-        mean_ks_statistic=math.fsum(stats) / config.trials,
-        mean_ks_p=math.fsum(ks_ps) / config.trials,
-        fraction_ks_pass=sum(1 for p in ks_ps if p >= threshold) / config.trials,
+        mean_fraction_below_alpha=math.fsum(d.fraction_below_alpha for d in diagnostics) / n,
+        mean_ks_statistic=math.fsum(d.ks_statistic for d in diagnostics) / n,
+        mean_ks_p=math.fsum(d.ks_p for d in diagnostics) / n,
+        fraction_ks_pass=sum(1 for d in diagnostics if d.ks_p >= threshold) / n,
     )
-
-
-def null_draws(config: SimulationConfig, n_trials: int) -> list[float]:
-    """Flat list of all p-values from the first n_trials trials."""
-    if not isinstance(n_trials, int) or n_trials < 1:
-        raise ConfigError(f"n_trials must be an integer >= 1, got {n_trials!r}")
-    draws: list[float] = []
-    for trial in range(n_trials):
-        draws.extend(simulate_trial(config, trial))
-    return draws

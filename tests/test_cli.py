@@ -2,11 +2,15 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from metaaudit.cli import main
 from metaaudit.reproduce import fixture_path
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+SIM_NULL = {"scenario": "null", "k": 27, "trials": 20, "seed": 2027}
 
 
 def _write(tmp_path, name, text):
@@ -182,6 +186,26 @@ def test_simulate_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown config keys: oops" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("se_range", ["a", 1], "se_range must be a finite number, got 'a'"),
+        ("se_range", [0.1, True], "se_range must be a finite number, got True"),
+        ("log_or", None, "log_or must be a finite number, got None"),
+        ("log_or", 10 ** 400, "log_or must be a finite number"),
+        ("effect_fraction", "half", "effect_fraction must be a finite number, got 'half'"),
+        ("k", "27", "k must be an integer >= 1, got '27'"),
+        ("seed", 1.5, "seed must be a non-negative integer, got 1.5"),
+    ],
+    ids=["se_range-text", "se_range-bool", "log_or-null", "log_or-overflow",
+         "effect_fraction-text", "k-text", "seed-float"],
+)
+def test_simulate_rejects_mistyped_numbers(tmp_path, capsys, key, value, message):
+    config = _write(tmp_path, "sim.json", json.dumps({**SIM_NULL, key: value}))
+    assert main(["simulate", "--config", config]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_simulate_rejects_bad_json(tmp_path, capsys):
     config = _write(tmp_path, "sim.json", "{not json")
     assert main(["simulate", "--config", config]) == 2
@@ -201,3 +225,37 @@ def test_reproduce_passes_and_is_deterministic(tmp_path, capsys):
     report = json.loads((first / "reproduction.json").read_text(encoding="utf-8"))
     assert report["summary"]["all_gated_pass"] is True
     assert report["summary"]["informational"] == 6
+
+
+@pytest.mark.parametrize(
+    "golden, argv, artifact",
+    [
+        (
+            "asthma_effects_audit.json",
+            ["plot", "{fixtures}/asthma_effects.csv", "--method", "natural", "--outdir", "{out}"],
+            "asthma_effects_audit.json",
+        ),
+        (
+            "hypothesis_counts_count.json",
+            ["count", "{fixtures}/hypothesis_counts.csv", "--output", "{out}/count.json"],
+            "count.json",
+        ),
+        (
+            "asthma_effects_pool_dl.json",
+            ["pool", "{fixtures}/asthma_effects.csv", "--model", "dl", "--output", "{out}/pool.json"],
+            "pool.json",
+        ),
+        (
+            "simulate_null.json",
+            ["simulate", "--config", "{out}/sim.json", "--output", "{out}/simulate.json"],
+            "simulate.json",
+        ),
+        ("reproduction.json", ["reproduce", "--outdir", "{out}"], "reproduction.json"),
+    ],
+)
+def test_artifact_matches_golden(tmp_path, capsys, golden, argv, artifact):
+    (tmp_path / "sim.json").write_text(json.dumps(SIM_NULL), encoding="utf-8")
+    fixtures = fixture_path("asthma_effects.csv").parent
+    argv = [arg.format(fixtures=fixtures, out=tmp_path) for arg in argv]
+    assert main(argv) == 0
+    assert (tmp_path / artifact).read_bytes() == (GOLDEN_DIR / golden).read_bytes()

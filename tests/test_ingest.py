@@ -117,6 +117,24 @@ def test_semantic_errors_reported_per_row(tmp_path):
         ingest_effects(path)
 
 
+@pytest.mark.parametrize(
+    "row, column",
+    [
+        ("A 2001,,1.5,2.0,1.0,", "ci_high"),
+        ("A 2001,,1.5,-1.0,2.0,", "ci_low"),
+        ("A 2001,,0.0,1.0,2.0,", "odds_ratio"),
+        ("A 2001,,1.5,1.0,2.0,95", "ci_level"),
+        ("A 2001,,inf,1.0,2.0,", "odds_ratio"),
+    ],
+)
+def test_semantic_errors_name_the_faulty_column(tmp_path, row, column):
+    path = _write(tmp_path, "bad.csv", EFFECT_HEADER + row + "\n")
+    with pytest.raises(CsvFormatError) as info:
+        ingest_effects(path)
+    assert [(line, col) for line, col, _ in info.value.diagnostics] == [(2, column)]
+    assert f"bad.csv:2:{column}:" in str(info.value)
+
+
 def test_ci_level_defaults_and_overrides(tmp_path):
     text = EFFECT_HEADER + "A 2001,,1.5,1.1,2.0,\nB 2002,,1.5,1.1,2.0,0.90\n"
     path = _write(tmp_path, "levels.csv", text)
@@ -162,6 +180,21 @@ def test_count_bad_integers(tmp_path):
     path = _write(tmp_path, "floats.csv", text)
     with pytest.raises(CsvFormatError, match="floats.csv:2:outcomes"):
         ingest_counts(path)
+
+
+@pytest.mark.parametrize(
+    "counts, column",
+    [
+        ("0,1,3", "outcomes"),
+        ("2,0,3", "predictors"),
+        ("2,1,-1", "covariates"),
+    ],
+)
+def test_count_errors_name_the_faulty_column(tmp_path, counts, column):
+    path = _write(tmp_path, "counts.csv", COUNT_HEADER + f"P1,Europe,models,{counts}\n")
+    with pytest.raises(CsvFormatError) as info:
+        ingest_counts(path)
+    assert [(line, col) for line, col, _ in info.value.diagnostics] == [(2, column)]
 
 
 def test_count_covariate_guard(tmp_path):

@@ -16,7 +16,6 @@ from metaaudit import (
     EffectEstimate,
     EmptyInputError,
     PoolingMethod,
-    heterogeneity_stats,
     ingest_effects,
     pool_dersimonian_laird,
     pool_fixed,
@@ -168,13 +167,17 @@ def test_extreme_variance_study_is_downweighted():
 
 
 def test_heterogeneity_stats_alone():
+    # Q, tau^2 and I^2 describe the input set, so both methods report the
+    # same values whichever weights they pool with.
     rng = np.random.default_rng(42)
     studies = _random_studies(rng, 6)
-    q, tau2, i2 = heterogeneity_stats(studies)
     expected = _longhand(studies, PoolingMethod.FIXED)
-    assert q == pytest.approx(expected["q_statistic"], rel=1e-10)
-    assert tau2 == pytest.approx(expected["tau_squared"], rel=1e-10, abs=1e-15)
-    assert i2 == pytest.approx(expected["i_squared"], rel=1e-10, abs=1e-15)
+    for pooled in (pool_fixed(studies), pool_dersimonian_laird(studies)):
+        assert pooled.q_statistic == pytest.approx(expected["q_statistic"], rel=1e-10)
+        assert pooled.tau_squared == pytest.approx(
+            expected["tau_squared"], rel=1e-10, abs=1e-15
+        )
+        assert pooled.i_squared == pytest.approx(expected["i_squared"], rel=1e-10, abs=1e-15)
 
 
 def test_empty_input_raises():
@@ -182,5 +185,3 @@ def test_empty_input_raises():
         pool_fixed([])
     with pytest.raises(EmptyInputError):
         pool_dersimonian_laird([])
-    with pytest.raises(EmptyInputError):
-        heterogeneity_stats([])

@@ -155,19 +155,21 @@ def test_majority_rule_beats_uniformity():
     assert classify_plot(plot).verdict is PlotVerdict.EFFECT_LINE
 
 
+def test_classifier_counts_at_the_plot_alpha():
+    # Two of five p-values sit below 0.05 but none below 0.01; the
+    # classifier must count at the level the plot was built with.
+    plot = build_plot(_labeled([0.02, 0.03, 0.5, 0.7, 0.9]), alpha=0.01)
+    assert plot.n_below_alpha == 0
+    assert classify_plot(plot).diagnostics.fraction_below_alpha == 0.0
+
+
 def test_plot_config_validation():
-    with pytest.raises(ConfigError):
-        PlotConfig(alpha=0.0)
     with pytest.raises(ConfigError):
         PlotConfig(uniform_ks_threshold=1.0)
     with pytest.raises(ConfigError):
         PlotConfig(bilinear_min_segment=1)
     with pytest.raises(ConfigError):
         PlotConfig(min_points=0)
-    with pytest.raises(ConfigError):
-        PlotConfig(width=0)
-    with pytest.raises(ConfigError):
-        PlotConfig(point_radius=0.0)
 
 
 @pytest.mark.parametrize("name", ["asthma_plot.svg", "wheeze_plot.svg"])
@@ -223,6 +225,6 @@ def test_render_rejects_unknown_format():
 
 def test_title_and_alpha_label_rendered():
     plot = build_plot(_labeled([0.1, 0.3, 0.5, 0.7, 0.9]), alpha=0.01)
-    svg = render_plot(plot, config=PlotConfig(alpha=0.01, title="A <b> title"))
+    svg = render_plot(plot, title="A <b> title")
     assert "A &lt;b&gt; title" in svg
     assert "alpha = 0.01" in svg

@@ -17,7 +17,6 @@ from metaaudit import (
     plot_from_effects,
     pool_dersimonian_laird,
     pool_fixed,
-    pooled_dict,
 )
 from metaaudit.report import audit_report
 from metaaudit.reproduce import fixture_path, run_reproduction
@@ -50,6 +49,17 @@ def test_non_finite_rejected():
         canonical_json({"x": object()})
 
 
+def test_dataclasses_and_enums_serialize_as_fields_and_values():
+    pooled = pool_fixed(ingest_effects(fixture_path("region_pair.csv")))
+    payload = json.loads(canonical_json({"result": pooled, "method": ConversionMethod.LOG}))
+    assert payload["method"] == "log"
+    assert payload["result"]["method"] == "fixed"
+    assert set(payload["result"]) == {
+        "k", "pooled_log_or", "pooled_se", "pooled_or", "ci_low", "ci_high",
+        "p_value", "q_statistic", "tau_squared", "i_squared", "method", "ci_level",
+    }
+
+
 def test_serialization_is_deterministic():
     payload = {"values": [0.1, 0.2, 0.30000000001], "k": 27}
     assert canonical_json(payload) == canonical_json(payload)
@@ -79,12 +89,12 @@ def test_conversion_rows_carry_both_conventions():
 
 def test_audit_report_structure():
     effects = ingest_effects(fixture_path("asthma_effects.csv"))
-    config = PlotConfig(title="asthma")
+    config = PlotConfig()
     plot = plot_from_effects(effects, ConversionMethod.NATURAL)
     classification = classify_plot(plot, config)
     pooled = {
-        "fixed": pooled_dict(pool_fixed(effects)),
-        "dersimonian_laird": pooled_dict(pool_dersimonian_laird(effects)),
+        "fixed": pool_fixed(effects),
+        "dersimonian_laird": pool_dersimonian_laird(effects),
     }
     report = audit_report(
         file_digest(fixture_path("asthma_effects.csv"), len(effects)),

@@ -18,7 +18,6 @@ from metaaudit import (
     cohort_false_positives,
     expected_false_positives,
     ingest_counts,
-    study_search_space,
     summarize_ledger,
 )
 from metaaudit.reproduce import fixture_path
@@ -72,7 +71,6 @@ def test_multi_block_study_sums():
         ),
     )
     assert study.search_space() == 2688 + 458752 == 461440
-    assert study_search_space(study) == 461440
 
 
 def test_study_validation():

@@ -14,7 +14,6 @@ from metaaudit import ConfigError, PlotConfig, PlotVerdict
 from metaaudit.simulate import (
     Scenario,
     SimulationConfig,
-    null_draws,
     run_simulation,
     simulate_trial,
 )
@@ -71,16 +70,20 @@ def test_huge_effect_floors_every_p():
         assert all(p < 1e-6 for p in simulate_trial(config, trial))
 
 
+def _draws(config):
+    return [p for trial in range(config.trials) for p in simulate_trial(config, trial)]
+
+
 def test_null_draws_center_on_half():
     config = _null(k=50, trials=2000, seed=88)
-    draws = null_draws(config, 2000)
+    draws = _draws(config)
     assert len(draws) == 100_000
     assert 0.49 <= math.fsum(draws) / len(draws) <= 0.51
 
 
 def test_null_draws_pass_uniformity_test():
     config = _null(k=20, trials=500, seed=55)
-    draws = null_draws(config, 500)
+    draws = _draws(config)
     assert len(draws) == 10_000
     assert scipy.stats.kstest(draws, "uniform").pvalue >= 0.001
     assert all(0.0 < p <= 1.0 for p in draws)
