@@ -83,7 +83,7 @@ class EffectEstimate:
             warnings.warn(
                 f"{self.display_label()}: odds ratio {self.odds_ratio} lies "
                 f"outside its interval ({self.ci_low}, {self.ci_high})",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     def display_label(self) -> str:

@@ -21,6 +21,7 @@ header but no data rows raises EmptyInputError.
 from __future__ import annotations
 
 import csv
+import warnings
 from pathlib import Path
 
 from .effects import EffectEstimate
@@ -87,7 +88,12 @@ def _parse_int(row: dict[str, str], column: str) -> int:
 
 
 def ingest_effects(path: str | Path) -> list[EffectEstimate]:
-    """Load study effect records, preserving file order."""
+    """Load study effect records, preserving file order.
+
+    A row's warnings, such as an odds ratio outside its own interval, are
+    re-issued located at the row: file:line instead of the code that
+    raised them.
+    """
     path = Path(path)
     rows, lines = _open_rows(path, EFFECT_COLUMNS)
     effects = []
@@ -114,8 +120,9 @@ def ingest_effects(path: str | Path) -> list[EffectEstimate]:
         if bad:
             continue
         try:
-            effects.append(
-                EffectEstimate(
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                effect = EffectEstimate(
                     study_label=row["study_label"],
                     odds_ratio=fields["odds_ratio"],
                     ci_low=fields["ci_low"],
@@ -123,9 +130,12 @@ def ingest_effects(path: str | Path) -> list[EffectEstimate]:
                     subgroup_label=row.get("subgroup_label") or None,
                     ci_level=fields.get("ci_level", 0.95),
                 )
-            )
         except AuditError as exc:
             diagnostics.append((line, exc.field, str(exc)))
+            continue
+        for warning in caught:
+            warnings.warn_explicit(warning.message, warning.category, str(path), line)
+        effects.append(effect)
     if diagnostics:
         raise CsvFormatError(path.name, diagnostics)
     return effects

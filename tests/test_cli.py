@@ -2,15 +2,27 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import metaaudit
 from metaaudit.cli import main
 from metaaudit.reproduce import fixture_path
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SIM_NULL = {"scenario": "null", "k": 27, "trials": 20, "seed": 2027}
+SIM_MIXTURE = {
+    "scenario": "mixture",
+    "k": 200,
+    "trials": 30,
+    "seed": 2027,
+    "log_or": 0.5,
+    "effect_fraction": 0.3,
+}
 
 
 def _write(tmp_path, name, text):
@@ -46,6 +58,25 @@ def test_convert_null_or_yields_p_one(tmp_path, capsys):
     )
     assert lines[1] == "Null 2000,,1.0,0.5,2.0,0.95,1.0"
     assert "\r" not in out
+
+
+def test_convert_warns_on_stderr_at_the_csv_row(tmp_path):
+    source = _write(
+        tmp_path,
+        "outside.csv",
+        "study_label,subgroup_label,odds_ratio,ci_low,ci_high\nA 2001,,3.0,1.0,2.0\n",
+    )
+    package_root = Path(metaaudit.__file__).parent.parent
+    result = subprocess.run(
+        [sys.executable, "-m", "metaaudit.cli", "convert", source],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root), "PYTHONWARNINGS": "default"},
+        check=True,
+    )
+    assert result.stderr.startswith(
+        f"{source}:2: UserWarning: A 2001: odds ratio 3.0 lies outside its interval"
+    )
 
 
 def test_convert_to_file_and_method_default(tmp_path, capsys):
@@ -251,10 +282,16 @@ def test_reproduce_passes_and_is_deterministic(tmp_path, capsys):
             "simulate.json",
         ),
         ("reproduction.json", ["reproduce", "--outdir", "{out}"], "reproduction.json"),
+        (
+            "simulate_mixture.json",
+            ["simulate", "--config", "{out}/mix.json", "--output", "{out}/mixture.json"],
+            "mixture.json",
+        ),
     ],
 )
 def test_artifact_matches_golden(tmp_path, capsys, golden, argv, artifact):
     (tmp_path / "sim.json").write_text(json.dumps(SIM_NULL), encoding="utf-8")
+    (tmp_path / "mix.json").write_text(json.dumps(SIM_MIXTURE), encoding="utf-8")
     fixtures = fixture_path("asthma_effects.csv").parent
     argv = [arg.format(fixtures=fixtures, out=tmp_path) for arg in argv]
     assert main(argv) == 0

@@ -195,9 +195,11 @@ def test_estimate_validation():
 
 
 def test_or_outside_interval_warns_but_constructs():
-    with pytest.warns(UserWarning, match="outside its interval"):
+    with pytest.warns(UserWarning, match="outside its interval") as caught:
         estimate = EffectEstimate("odd", 0.8, 0.9, 1.2)
     assert estimate.odds_ratio == 0.8
+    # Located at the caller, not inside the dataclass-generated __init__.
+    assert caught[0].filename == __file__
 
 
 def test_degenerate_log_width():

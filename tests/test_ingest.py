@@ -135,6 +135,15 @@ def test_semantic_errors_name_the_faulty_column(tmp_path, row, column):
     assert f"bad.csv:2:{column}:" in str(info.value)
 
 
+def test_row_warnings_are_located_at_the_row(tmp_path):
+    text = EFFECT_HEADER + "A 2001,,1.5,1.1,2.0,\nB 2002,,3.0,1.0,2.0,\n"
+    path = _write(tmp_path, "outside.csv", text)
+    with pytest.warns(UserWarning, match="B 2002: odds ratio 3.0 lies outside") as caught:
+        effects = ingest_effects(path)
+    assert len(effects) == 2
+    assert [(w.filename, w.lineno) for w in caught] == [(str(path), 3)]
+
+
 def test_ci_level_defaults_and_overrides(tmp_path):
     text = EFFECT_HEADER + "A 2001,,1.5,1.1,2.0,\nB 2002,,1.5,1.1,2.0,0.90\n"
     path = _write(tmp_path, "levels.csv", text)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 import scipy.special
 import scipy.stats
 
@@ -27,7 +28,9 @@ from metaaudit import (
     plot_from_effects,
     render_plot,
 )
+from metaaudit.pvplot import _rss, _two_segment_fit
 from metaaudit.reproduce import fixture_path, reproduction_figures
+from metaaudit.simulate import Scenario, SimulationConfig, simulate_trial
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -161,6 +164,63 @@ def test_classifier_counts_at_the_plot_alpha():
     plot = build_plot(_labeled([0.02, 0.03, 0.5, 0.7, 0.9]), alpha=0.01)
     assert plot.n_below_alpha == 0
     assert classify_plot(plot).diagnostics.fraction_below_alpha == 0.0
+
+
+def _reference_two_segment_fit(sorted_ps, min_segment):
+    """Brute force: refit every split with _rss, keep the first minimum."""
+    n = len(sorted_ps)
+    if n < 2 * min_segment:
+        return None
+    xs = [float(i) for i in range(1, n + 1)]
+    ys = [float(p) for p in sorted_ps]
+    single_rss, _ = _rss(xs, ys)
+    best = None
+    for split in range(min_segment, n - min_segment + 1):
+        rss1, slope1 = _rss(xs[:split], ys[:split])
+        rss2, slope2 = _rss(xs[split:], ys[split:])
+        total = rss1 + rss2
+        if best is None or total < best[1]:
+            best = (split, total, slope1, slope2)
+    split, total, slope1, slope2 = best
+    return split, total, slope1, slope2, single_rss
+
+
+def _trial_inputs():
+    for k, trials in ((13, 30), (27, 30), (200, 4)):
+        for scenario, log_or in ((Scenario.NULL, 0.0), (Scenario.MIXTURE, 0.5)):
+            config = SimulationConfig(
+                scenario=scenario, k=k, trials=trials, seed=404,
+                log_or=log_or, effect_fraction=0.3,
+            )
+            for t in range(trials):
+                yield sorted(simulate_trial(config, t))
+
+
+def _edge_inputs(min_segment):
+    for n in (2 * min_segment, 2 * min_segment + 1, 27):
+        yield [0.5] * n
+        yield [0.0] * n
+        yield [1.0] * n
+        yield [1e-300] * n
+        yield sorted(i % 2 * 1.0 for i in range(n))
+        yield [0.0] * (n // 2) + [1.0] * (n - n // 2)
+        yield sorted(1e-162 * ((i * 7919) % n) for i in range(n))
+        yield sorted(0.25 * ((i * 7) % 5) for i in range(n))
+
+
+@pytest.mark.parametrize("min_segment", [2, 3, 4, 5])
+def test_two_segment_fit_equals_brute_force(min_segment):
+    inputs = [*_trial_inputs(), *_edge_inputs(min_segment)]
+    for ps in inputs:
+        assert _two_segment_fit(ps, min_segment) == _reference_two_segment_fit(ps, min_segment)
+
+
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=60).map(sorted),
+    st.integers(min_value=2, max_value=5),
+)
+def test_two_segment_fit_equals_brute_force_on_any_plot(ps, min_segment):
+    assert _two_segment_fit(ps, min_segment) == _reference_two_segment_fit(ps, min_segment)
 
 
 def test_plot_config_validation():

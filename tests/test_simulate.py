@@ -152,6 +152,13 @@ def test_config_validation():
         _null(plot_config=PlotConfig(), k=True)
 
 
+@pytest.mark.parametrize("name", ["se_low", "se_high", "log_or", "effect_fraction"])
+@pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["above", "below"])
+def test_config_rejects_ints_beyond_float_range(name, value):
+    with pytest.raises(ConfigError, match=name):
+        SimulationConfig(scenario=Scenario.MIXTURE, k=5, trials=1, seed=0, **{name: value})
+
+
 def test_trial_index_validation():
     config = _null()
     with pytest.raises(ConfigError):
