@@ -26,6 +26,7 @@ from .errors import (  # noqa: E402
     DegenerateIntervalError,
     DomainError,
     EmptyInputError,
+    InputFileError,
     InvalidIntervalError,
     OverflowGuardError,
     SERecoveryError,
@@ -42,6 +43,7 @@ from .pvplot import (  # noqa: E402
     PlotClassification,
     PlotConfig,
     PlotDiagnostics,
+    PlotPoint,
     PlotVerdict,
     PValuePlot,
     build_plot,
@@ -86,12 +88,14 @@ __all__ = [
     "DomainError",
     "EffectEstimate",
     "EmptyInputError",
+    "InputFileError",
     "InvalidIntervalError",
     "LedgerSummary",
     "OverflowGuardError",
     "PlotClassification",
     "PlotConfig",
     "PlotDiagnostics",
+    "PlotPoint",
     "PlotVerdict",
     "PooledResult",
     "PoolingMethod",

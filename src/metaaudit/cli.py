@@ -11,7 +11,8 @@ Usage examples:
     metaaudit reproduce --outdir out
 
 Exit codes: 0 success, 1 unexpected failure or reproduction mismatch,
-2 bad input (CSV format problems, domain errors, usage errors).
+2 bad input (unreadable files, CSV format problems, domain errors, usage
+errors).
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
-from typing import Any
 
 from . import __version__
 from .effects import ConversionMethod, p_from_effect
@@ -36,12 +36,6 @@ from .report import audit_report, canonical_json, file_digest
 from .reproduce import run_reproduction
 from .search_space import expected_false_positives, cohort_false_positives, summarize_ledger
 from .simulate import Scenario, SimulationConfig, run_simulation
-
-_SIM_KEYS = frozenset(
-    {"scenario", "k", "trials", "seed", "se_range", "log_or", "effect_fraction"}
-)
-_SIM_REQUIRED = ("scenario", "k", "trials", "seed")
-
 
 def _print_error(message: str) -> None:
     prefix = "error:"
@@ -188,71 +182,37 @@ def _cmd_cohort(args: argparse.Namespace) -> int:
     return 0
 
 
-def _number(path: str, key: str, value: Any) -> float:
-    """A JSON number as a float; anything else is a ConfigError naming key."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise ConfigError(f"{path}: {key} must be a finite number, got {value!r}")
-
-
 def _load_sim_config(path: str) -> SimulationConfig:
+    """The config at path; its keys are SimulationConfig's fields."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from None
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: simulation config must be a JSON object")
-    unknown = sorted(set(raw) - _SIM_KEYS)
+    keys = fields(SimulationConfig)
+    unknown = sorted(set(raw) - {key.name for key in keys})
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    missing = sorted(key for key in _SIM_REQUIRED if key not in raw)
+    missing = sorted(key.name for key in keys if key.default is MISSING and key.name not in raw)
     if missing:
         raise ConfigError(f"{path}: missing config keys: {', '.join(missing)}")
     try:
-        scenario = Scenario(raw["scenario"])
+        raw["scenario"] = Scenario(raw["scenario"])
     except ValueError:
         valid = ", ".join(s.value for s in Scenario)
         raise ConfigError(f"{path}: scenario must be one of: {valid}") from None
-    kwargs: dict[str, Any] = {}
-    if "se_range" in raw:
-        se_range = raw["se_range"]
-        if not isinstance(se_range, (list, tuple)) or len(se_range) != 2:
-            raise ConfigError(f"{path}: se_range must be a [low, high] pair")
-        kwargs["se_low"] = _number(path, "se_range", se_range[0])
-        kwargs["se_high"] = _number(path, "se_range", se_range[1])
-    for key in ("log_or", "effect_fraction"):
-        if key in raw:
-            kwargs[key] = _number(path, key, raw[key])
-    return SimulationConfig(
-        scenario=scenario,
-        k=raw["k"],
-        trials=raw["trials"],
-        seed=raw["seed"],
-        **kwargs,
-    )
+    try:
+        return SimulationConfig(**raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_sim_config(args.config)
-    report = run_simulation(config)
-    payload = {
-        **asdict(report),
-        "version": __version__,
-        "config": {
-            "scenario": config.scenario.value,
-            "k": config.k,
-            "trials": config.trials,
-            "seed": config.seed,
-            "se_range": [config.se_low, config.se_high],
-            "log_or": config.log_or,
-            "effect_fraction": config.effect_fraction,
-        },
-        "verdict_counts": dict(report.verdict_counts),
-    }
-    _write_text(args.output, canonical_json(payload))
+    report = run_simulation(_load_sim_config(args.config))
+    _write_text(args.output, canonical_json({**asdict(report), "version": __version__}))
     return 0
 
 

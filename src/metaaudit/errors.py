@@ -48,6 +48,14 @@ class ConfigError(AuditError):
     """A configuration object or file is invalid."""
 
 
+class InputFileError(AuditError, OSError):
+    """An input file cannot be read, decoded or split into CSV records.
+
+    It is an OSError too, so a caller that catches failed reads still
+    catches a missing or unreadable file.
+    """
+
+
 class CsvFormatError(AuditError):
     """A CSV input failed validation.
 

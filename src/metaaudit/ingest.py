@@ -15,17 +15,20 @@ CSVs (input columns plus derived ones) round-trip through ingestion.
 
 Validation rejects whole files: every offending cell is reported as
 file:line:column before a CsvFormatError is raised. A file with a valid
-header but no data rows raises EmptyInputError.
+header but no data rows raises EmptyInputError. A file that cannot be
+read, is not UTF-8 or breaks the csv reader raises InputFileError, at
+file:line when the line is known.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from pathlib import Path
 
 from .effects import EffectEstimate
-from .errors import AuditError, CsvFormatError, EmptyInputError
+from .errors import AuditError, CsvFormatError, EmptyInputError, InputFileError
 from .search_space import CountBlock, StudyCounts, block_search_space
 
 EFFECT_COLUMNS = ("study_label", "subgroup_label", "odds_ratio", "ci_low", "ci_high")
@@ -43,12 +46,20 @@ def _open_rows(path: Path, required: tuple[str, ...]) -> tuple[list[dict[str, st
     """Parse a CSV into dict rows, checking the header. Returns rows and
     the csv-reader line number of each row."""
     name = path.name
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyInputError(f"{name}: file is empty") from None
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise InputFileError(f"{name}: cannot read: {exc.strerror}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InputFileError(f"{name}:{line}: not UTF-8 text: {exc.reason}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise EmptyInputError(f"{name}: file is empty")
         header = [column.strip() for column in header]
         missing = [column for column in required if column not in header]
         if missing:
@@ -66,6 +77,8 @@ def _open_rows(path: Path, required: tuple[str, ...]) -> tuple[list[dict[str, st
             }
             rows.append(row)
             lines.append(reader.line_num)
+    except csv.Error as exc:
+        raise InputFileError(f"{name}:{reader.line_num}: {exc}") from None
     if not rows:
         raise EmptyInputError(f"{name}: no data rows after the header")
     return rows, lines

@@ -87,21 +87,27 @@ class PlotConfig:
 
 
 @dataclass(frozen=True)
-class PValuePlot:
-    """Ranked p-values with their provenance labels.
+class PlotPoint:
+    """One ranked p-value with its provenance label.
 
-    points holds (rank, p) pairs sorted ascending by p (ties broken by
-    label); source_labels and negative run parallel to points. negative
-    marks points whose source odds ratio was below 1, which rendering
-    draws with a distinct marker.
+    negative_effect marks a point whose source odds ratio was below 1,
+    which rendering draws with a distinct marker.
     """
 
-    points: tuple[tuple[int, float], ...]
+    rank: int
+    label: str
+    p_value: float
+    negative_effect: bool
+
+
+@dataclass(frozen=True)
+class PValuePlot:
+    """Ranked p-values: points sorted ascending by p, ties broken by label."""
+
+    points: tuple[PlotPoint, ...]
     n: int
     n_below_alpha: int
     alpha: float
-    source_labels: tuple[str, ...]
-    negative: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
@@ -154,18 +160,12 @@ def build_plot(
     order = sorted(
         range(len(pvalues)), key=lambda i: (pvalues[i][1], pvalues[i][0])
     )
-    points = tuple((rank, float(pvalues[i][1])) for rank, i in enumerate(order, 1))
-    labels = tuple(pvalues[i][0] for i in order)
-    flags = tuple(bool(negative[i]) for i in order)
-    below = sum(1 for _, p in points if p < alpha)
-    return PValuePlot(
-        points=points,
-        n=len(points),
-        n_below_alpha=below,
-        alpha=alpha,
-        source_labels=labels,
-        negative=flags,
+    points = tuple(
+        PlotPoint(rank, pvalues[i][0], float(pvalues[i][1]), bool(negative[i]))
+        for rank, i in enumerate(order, 1)
     )
+    below = sum(1 for point in points if point.p_value < alpha)
+    return PValuePlot(points=points, n=len(points), n_below_alpha=below, alpha=alpha)
 
 
 def plot_from_effects(
@@ -340,7 +340,7 @@ def classify_plot(
     plot: PValuePlot, config: PlotConfig = PlotConfig()
 ) -> PlotClassification:
     """Classify a plot's shape; see the module docstring for the rules."""
-    ps = [p for _, p in plot.points]
+    ps = [point.p_value for point in plot.points]
     n = plot.n
     below = plot.n_below_alpha
     fraction = below / n
@@ -465,9 +465,9 @@ def _render_svg(
         f'font-family="sans-serif" font-size="11" fill="#aa2222">alpha = {plot.alpha:g}</text>'
     )
     radius = _POINT_RADIUS
-    for (rank, p), is_negative in zip(plot.points, plot.negative):
-        cx, cy = x(rank), y(p)
-        if is_negative:
+    for point in plot.points:
+        cx, cy = x(point.rank), y(point.p_value)
+        if point.negative_effect:
             r = radius + 1.0
             parts.append(
                 f'<path d="M {_fmt(cx)} {_fmt(cy - r)} L {_fmt(cx + r)} {_fmt(cy)} '
@@ -478,7 +478,7 @@ def _render_svg(
             parts.append(
                 f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius)}" fill="#2b6cb0"/>'
             )
-    if any(plot.negative):
+    if any(point.negative_effect for point in plot.points):
         ly = top + 8
         parts.append(
             f'<circle cx="{_fmt(left + 12)}" cy="{_fmt(ly)}" r="{_fmt(radius)}" fill="#2b6cb0"/>'
@@ -526,11 +526,10 @@ def _render_csv(plot: PValuePlot) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["rank", "label", "p_value", "below_alpha", "negative_effect"])
-    for (rank, p), label, is_negative in zip(
-        plot.points, plot.source_labels, plot.negative
-    ):
+    for point in plot.points:
+        below = int(point.p_value < plot.alpha)
         writer.writerow(
-            [rank, label, repr(p), int(p < plot.alpha), int(is_negative)]
+            [point.rank, point.label, repr(point.p_value), below, int(point.negative_effect)]
         )
     return buffer.getvalue()
 

@@ -61,31 +61,12 @@ def conversion_rows(effects: Sequence[EffectEstimate]) -> list[dict[str, Any]]:
     """Per-row conversions under both conventions."""
     return [
         {
-            "study_label": e.study_label,
-            "subgroup_label": e.subgroup_label,
-            "odds_ratio": e.odds_ratio,
-            "ci_low": e.ci_low,
-            "ci_high": e.ci_high,
-            "ci_level": e.ci_level,
+            **asdict(e),
             "p_natural": p_from_effect(e, ConversionMethod.NATURAL),
             "p_log": p_from_effect(e, ConversionMethod.LOG),
         }
         for e in effects
     ]
-
-
-def plot_dict(plot: PValuePlot) -> dict[str, Any]:
-    return {
-        "n": plot.n,
-        "n_below_alpha": plot.n_below_alpha,
-        "alpha": plot.alpha,
-        "points": [
-            {"rank": rank, "label": label, "p_value": p, "negative_effect": neg}
-            for (rank, p), label, neg in zip(
-                plot.points, plot.source_labels, plot.negative
-            )
-        ],
-    }
 
 
 def audit_report(
@@ -109,6 +90,6 @@ def audit_report(
         "config": {"alpha": plot.alpha, **asdict(config)},
         "conversions": conversion_rows(effects),
         "pooled": pooled,
-        "plot": plot_dict(plot),
+        "plot": plot,
         "classification": classification,
     }

@@ -207,10 +207,7 @@ def run_reproduction(outdir: str | Path | None = None) -> dict[str, Any]:
         path, effects, plot, _ = tables[dataset]
         fixtures[path.name] = file_digest(path, len(effects))
         plots[dataset] = plot
-        by_label = {
-            label: p
-            for (rank, p), label in zip(plot.points, plot.source_labels)
-        }
+        by_label = {point.label: point.p_value for point in plot.points}
         for label, expected_p in expected_rows:
             tolerance = (
                 FLAGGED_TOLERANCE if label in FLAGGED_ROWS else P_TOLERANCE
@@ -221,11 +218,10 @@ def run_reproduction(outdir: str | Path | None = None) -> dict[str, Any]:
     check("asthma_plot_below_alpha", 1, plots["asthma"].n_below_alpha, 0)
     check("wheeze_plot_points", 27, plots["wheeze"].n, 0)
     check("wheeze_plot_below_alpha", 6, plots["wheeze"].n_below_alpha, 0)
-    wheeze = plots["wheeze"]
     significant_negative = sum(
         1
-        for (rank, p), neg in zip(wheeze.points, wheeze.negative)
-        if p < ALPHA and neg
+        for point in plots["wheeze"].points
+        if point.p_value < ALPHA and point.negative_effect
     )
     check("wheeze_significant_negative", 4, significant_negative, 0)
     for dataset in ("asthma", "wheeze"):

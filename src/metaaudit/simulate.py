@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -43,21 +43,21 @@ class Scenario(Enum):
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Parameters of one simulation run.
+    """Parameters of one simulation run; the fields are the JSON config keys.
 
-    se_low/se_high bound the uniform draw of per-study standard errors.
-    log_or is ignored for NULL; effect_fraction is used only by MIXTURE.
+    se_range is the (low, high) range of the uniform draw of per-study
+    standard errors. log_or is ignored for NULL; effect_fraction is used
+    only by MIXTURE. Numbers are stored as floats, so the config reads the
+    same in a report whether it was given ints or floats.
     """
 
     scenario: Scenario
     k: int
     trials: int
     seed: int
-    se_low: float = 0.1
-    se_high: float = 0.3
+    se_range: tuple[float, float] = (0.1, 0.3)
     log_or: float = 0.0
     effect_fraction: float = 1.0
-    plot_config: PlotConfig = field(default_factory=PlotConfig)
 
     def __post_init__(self) -> None:
         if not isinstance(self.scenario, Scenario):
@@ -68,19 +68,31 @@ class SimulationConfig:
             raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        for name in ("se_low", "se_high", "log_or", "effect_fraction"):
-            value = getattr(self, name)
+        if not isinstance(self.se_range, (list, tuple)) or len(self.se_range) != 2:
+            raise ConfigError(f"se_range must be a (low, high) pair, got {self.se_range!r}")
+        numbers = [("se_range", value) for value in self.se_range]
+        numbers += [("log_or", self.log_or), ("effect_fraction", self.effect_fraction)]
+        for name, value in numbers:
             if not isinstance(value, (int, float)) or isinstance(value, bool) \
                     or abs(value) > sys.float_info.max or not math.isfinite(value):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        if not 0.0 < self.se_low <= self.se_high:
+        low, high, log_or, effect_fraction = (float(value) for _, value in numbers)
+        if not 0.0 < low <= high:
+            raise ConfigError(f"se_range needs 0 < low <= high, got ({low!r}, {high!r})")
+        if not 0.0 <= effect_fraction <= 1.0:
             raise ConfigError(
-                f"need 0 < se_low <= se_high, got ({self.se_low!r}, {self.se_high!r})"
+                f"effect_fraction must be inside [0, 1], got {effect_fraction!r}"
             )
-        if not 0.0 <= self.effect_fraction <= 1.0:
-            raise ConfigError(
-                f"effect_fraction must be inside [0, 1], got {self.effect_fraction!r}"
-            )
+        # A 53-bit open uniform maps to |z| <= 8.21 < 9, so every draw's
+        # estimate / se is bounded by (|log_or| + 9 high) / low.
+        if not math.isfinite(9.0 * high / low):
+            raise ConfigError(f"se_range ({low!r}, {high!r}) makes the z draws overflow")
+        shift = 0.0 if self.scenario is Scenario.NULL else abs(log_or)
+        if not math.isfinite((shift + 9.0 * high) / low):
+            raise ConfigError(f"log_or {log_or!r} makes the z draws overflow")
+        object.__setattr__(self, "se_range", (low, high))
+        object.__setattr__(self, "log_or", log_or)
+        object.__setattr__(self, "effect_fraction", effect_fraction)
 
 
 @dataclass(frozen=True)
@@ -88,15 +100,14 @@ class SimulationReport:
     """Aggregated classification results of a simulation run."""
 
     config: SimulationConfig
-    verdict_counts: tuple[tuple[str, int], ...]
+    verdict_counts: dict[str, int]
     mean_fraction_below_alpha: float
     mean_ks_statistic: float
     mean_ks_p: float
     fraction_ks_pass: float
 
     def verdict_fraction(self, verdict: PlotVerdict) -> float:
-        counts = dict(self.verdict_counts)
-        return counts.get(verdict.value, 0) / self.config.trials
+        return self.verdict_counts.get(verdict.value, 0) / self.config.trials
 
 
 def _open_uniform(rng: np.random.Generator) -> float:
@@ -114,10 +125,11 @@ def simulate_trial(config: SimulationConfig, trial_index: int) -> tuple[float, .
     if not isinstance(trial_index, int) or isinstance(trial_index, bool) or trial_index < 0:
         raise ConfigError(f"trial_index must be a non-negative integer, got {trial_index!r}")
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, trial_index]))
-    span = config.se_high - config.se_low
+    low, high = config.se_range
+    span = high - low
     ps = []
     for _ in range(config.k):
-        se = config.se_low + span * float(rng.random())
+        se = low + span * float(rng.random())
         true_log_or = 0.0
         if config.scenario is Scenario.FIXED_EFFECT:
             true_log_or = config.log_or
@@ -138,19 +150,20 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
     trials whose KS p clears the uniform threshold, all read from the
     classifier's diagnostics.
     """
+    plot_config = PlotConfig()
     counts: dict[str, int] = {v.value: 0 for v in PlotVerdict}
     diagnostics = []
     for trial in range(config.trials):
         ps = simulate_trial(config, trial)
         labeled = [(f"study-{i + 1:03d}", p) for i, p in enumerate(ps)]
-        classification = classify_plot(build_plot(labeled), config.plot_config)
+        classification = classify_plot(build_plot(labeled), plot_config)
         counts[classification.verdict.value] += 1
         diagnostics.append(classification.diagnostics)
-    threshold = config.plot_config.uniform_ks_threshold
+    threshold = plot_config.uniform_ks_threshold
     n = config.trials
     return SimulationReport(
         config=config,
-        verdict_counts=tuple(sorted(counts.items())),
+        verdict_counts=counts,
         mean_fraction_below_alpha=math.fsum(d.fraction_below_alpha for d in diagnostics) / n,
         mean_ks_statistic=math.fsum(d.ks_statistic for d in diagnostics) / n,
         mean_ks_p=math.fsum(d.ks_p for d in diagnostics) / n,

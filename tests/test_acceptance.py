@@ -153,8 +153,8 @@ def test_acceptance_4_figures():
     assert wheeze.n_below_alpha == 6
     significant_negative = sum(
         1
-        for (_, p), neg in zip(wheeze.points, wheeze.negative)
-        if p < 0.05 and neg
+        for point in wheeze.points
+        if point.p_value < 0.05 and point.negative_effect
     )
     assert significant_negative == 4
     assert classify_plot(asthma).verdict is not PlotVerdict.EFFECT_LINE

@@ -1,13 +1,18 @@
 """Command line behavior: outputs, exit codes, error reporting."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import metaaudit
 from metaaudit.cli import main
@@ -103,9 +108,133 @@ def test_convert_malformed_csv_exits_2(tmp_path, capsys):
     assert "\x1b" not in err
 
 
-def test_missing_input_exits_1(tmp_path, capsys):
-    assert main(["convert", str(tmp_path / "absent.csv")]) == 1
-    assert "error:" in capsys.readouterr().err
+def _unreadable(tmp_path, case):
+    """An input path that cannot be read, and the line its message names."""
+    path = tmp_path / "input.csv"
+    # Every column that effect and count files require, so the header passes.
+    header = b"study_label,subgroup_label,odds_ratio,ci_low,ci_high,paper_label,region,"
+    header += b"block_label,outcomes,predictors,covariates\n"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not-utf8":
+        path.write_bytes(header + b"A,,1.5,1,2,P,R,B,1,1,1\n\xff,,2,1,3,P,R,B,1,1,1\n")
+        return path, 3
+    elif case == "field-limit":
+        path.write_bytes(header + b"x" * 200_000 + b",,2,1,3,P,R,B,1,1,1\n")
+        return path, 2
+    return path, None
+
+
+_READERS = {
+    "convert": ["convert", "{path}"],
+    "pool": ["pool", "{path}", "--model", "fixed"],
+    "plot": ["plot", "{path}", "--outdir", "{out}"],
+    "count": ["count", "{path}"],
+    "simulate": ["simulate", "--config", "{path}"],
+}
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "field-limit"])
+@pytest.mark.parametrize("command", list(_READERS))
+def test_unreadable_input_exits_2(tmp_path, capsys, command, case):
+    path, line = _unreadable(tmp_path, case)
+    argv = [arg.format(path=path, out=tmp_path / "out") for arg in _READERS[command]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    if command == "simulate":
+        # A config is named by the path given; JSON errors carry their own line.
+        assert err.startswith(f"error: {path}: ")
+    else:
+        located = f"{path.name}:{line}: " if line else f"{path.name}: cannot read: "
+        assert err.startswith(f"error: {located}")
+
+
+def test_convert_of_a_z_beyond_float_range_gives_p_zero(tmp_path, capsys):
+    source = _write(
+        tmp_path,
+        "tiny.csv",
+        "study_label,subgroup_label,odds_ratio,ci_low,ci_high\nC,,2,1e-320,1e-319\n",
+    )
+    with pytest.warns(UserWarning, match="outside its interval"):
+        assert main(["convert", source, "--method", "natural"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].endswith(",0.0")
+
+
+def _run_quietly(argv):
+    """Exit code and stderr of one in-process run; stdout is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(argv)
+    return code, err.getvalue()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=6,
+)
+# Configs of the right JSON types, whose numbers still run to every extreme.
+_SIM_TYPED = st.fixed_dictionaries(
+    {
+        "scenario": st.sampled_from(["null", "fixed_effect", "mixture"]),
+        "k": st.integers(min_value=1, max_value=6),
+        "trials": st.integers(min_value=1, max_value=6),
+        "seed": st.integers(min_value=0),
+    },
+    optional={
+        "se_range": st.lists(st.floats(min_value=0.0, exclude_min=True), min_size=2, max_size=2)
+        .map(sorted),
+        "log_or": st.integers() | st.floats(),
+        "effect_fraction": st.floats(min_value=0.0, max_value=1.0),
+    },
+)
+# Any JSON value under any key; k and trials stay small when they are ints,
+# so that every config that validates runs fast.
+_SMALL = st.integers(min_value=-2, max_value=6) | _JSON.filter(lambda v: type(v) is not int)
+_SIM_ANY = st.tuples(
+    st.fixed_dictionaries(
+        {},
+        optional={
+            **{key: _JSON for key in ("scenario", "seed", "se_range", "log_or", "effect_fraction")},
+            "k": _SMALL,
+            "trials": _SMALL,
+        },
+    ),
+    st.dictionaries(st.text(max_size=5), _JSON, max_size=1),
+).map(lambda parts: {**parts[0], **parts[1]})
+
+
+@settings(deadline=None, max_examples=200)
+@given(_SIM_TYPED | _SIM_ANY)
+def test_any_simulate_config_exits_0_or_2_naming_the_file(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sim.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code, err = _run_quietly(["simulate", "--config", str(path)])
+    assert code in (0, 2)
+    if code == 2:
+        assert err.startswith(f"error: {path}")
+
+
+_EFFECT_HEADER = b"study_label,subgroup_label,odds_ratio,ci_low,ci_high,ci_level\n"
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.binary() | st.binary().map(lambda body: _EFFECT_HEADER + body),
+    st.sampled_from(["natural", "log"]),
+)
+def test_any_effect_csv_bytes_convert_exits_0_or_2_naming_the_file(data, method):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "effects.csv"
+        path.write_bytes(data)
+        code, err = _run_quietly(["convert", str(path), "--method", method])
+    assert code in (0, 2)
+    if code == 2:
+        assert err.startswith(f"error: {path.name}")
 
 
 def test_no_color_env_respected(tmp_path, capsys, monkeypatch):
@@ -227,14 +356,18 @@ def test_simulate_rejects_unknown_keys(tmp_path, capsys):
         ("effect_fraction", "half", "effect_fraction must be a finite number, got 'half'"),
         ("k", "27", "k must be an integer >= 1, got '27'"),
         ("seed", 1.5, "seed must be a non-negative integer, got 1.5"),
+        ("k", "5", "k must be an integer >= 1, got '5'"),
+        ("seed", 1e3, "seed must be a non-negative integer, got 1000.0"),
     ],
     ids=["se_range-text", "se_range-bool", "log_or-null", "log_or-overflow",
-         "effect_fraction-text", "k-text", "seed-float"],
+         "effect_fraction-text", "k-text", "seed-float", "k-text-5", "seed-float-1e3"],
 )
 def test_simulate_rejects_mistyped_numbers(tmp_path, capsys, key, value, message):
     config = _write(tmp_path, "sim.json", json.dumps({**SIM_NULL, key: value}))
     assert main(["simulate", "--config", config]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ")
+    assert message in err
 
 
 def test_simulate_rejects_bad_json(tmp_path, capsys):

@@ -11,6 +11,7 @@ import mpmath
 import pytest
 
 from metaaudit import DomainError, std_normal_cdf, std_normal_quantile
+from metaaudit.normal import two_sided_p
 
 mpmath.mp.dps = 50
 
@@ -152,6 +153,13 @@ def test_quantile_inverts_cdf_near_one():
 def test_cdf_rejects_non_finite(bad):
     with pytest.raises(DomainError):
         std_normal_cdf(bad)
+
+
+def test_two_sided_p_of_infinite_z_is_its_limit():
+    assert two_sided_p(38.0) == two_sided_p(-38.0) == 0.0
+    assert two_sided_p(math.inf) == two_sided_p(-math.inf) == 0.0
+    with pytest.raises(DomainError):
+        two_sided_p(math.nan)
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.3, math.nan, math.inf])

@@ -19,6 +19,7 @@ from metaaudit import (
     DomainError,
     EmptyInputError,
     PlotConfig,
+    PlotPoint,
     PlotVerdict,
     build_plot,
     classify_plot,
@@ -42,16 +43,16 @@ def _labeled(ps):
 def test_build_plot_sorts_and_counts():
     pairs = [("c", 0.40), ("a", 0.01), ("b", 0.90), ("d", 0.049)]
     plot = build_plot(pairs, alpha=0.05)
-    assert [rank for rank, _ in plot.points] == [1, 2, 3, 4]
-    assert [p for _, p in plot.points] == [0.01, 0.049, 0.40, 0.90]
-    assert plot.source_labels == ("a", "d", "c", "b")
+    assert [point.rank for point in plot.points] == [1, 2, 3, 4]
+    assert [point.p_value for point in plot.points] == [0.01, 0.049, 0.40, 0.90]
+    assert [point.label for point in plot.points] == ["a", "d", "c", "b"]
     assert plot.n == 4
     assert plot.n_below_alpha == 2
 
 
 def test_build_plot_breaks_ties_by_label():
     plot = build_plot([("late", 0.2), ("early", 0.2)])
-    assert plot.source_labels == ("early", "late")
+    assert [point.label for point in plot.points] == ["early", "late"]
 
 
 def test_build_plot_carries_negative_flags():
@@ -59,8 +60,10 @@ def test_build_plot_carries_negative_flags():
         [("a", 0.3), ("b", 0.1)], negative=[True, False]
     )
     # b sorts first; its flag must travel with it.
-    assert plot.source_labels == ("b", "a")
-    assert plot.negative == (False, True)
+    assert plot.points == (
+        PlotPoint(rank=1, label="b", p_value=0.1, negative_effect=False),
+        PlotPoint(rank=2, label="a", p_value=0.3, negative_effect=True),
+    )
 
 
 def test_build_plot_validation():

@@ -10,7 +10,7 @@ import math
 import pytest
 import scipy.stats
 
-from metaaudit import ConfigError, PlotConfig, PlotVerdict
+from metaaudit import ConfigError, PlotVerdict
 from metaaudit.simulate import (
     Scenario,
     SimulationConfig,
@@ -91,7 +91,7 @@ def test_null_draws_pass_uniformity_test():
 
 def test_verdict_histogram_sums_to_trials():
     report = run_simulation(_null(trials=40))
-    assert sum(count for _, count in report.verdict_counts) == 40
+    assert sum(report.verdict_counts.values()) == 40
     total = sum(
         report.verdict_fraction(verdict) for verdict in PlotVerdict
     )
@@ -141,22 +141,74 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         _null(seed=-1)
     with pytest.raises(ConfigError):
-        _null(se_low=0.0)
+        _null(se_range=(0.0, 0.3))
     with pytest.raises(ConfigError):
-        _null(se_low=0.5, se_high=0.2)
+        _null(se_range=(0.5, 0.2))
+    with pytest.raises(ConfigError):
+        _null(se_range=(0.1, 0.2, 0.3))
     with pytest.raises(ConfigError):
         SimulationConfig(
             scenario=Scenario.MIXTURE, k=5, trials=1, seed=0, effect_fraction=1.5
         )
     with pytest.raises(ConfigError):
-        _null(plot_config=PlotConfig(), k=True)
+        _null(k=True)
 
 
-@pytest.mark.parametrize("name", ["se_low", "se_high", "log_or", "effect_fraction"])
+@pytest.mark.parametrize(
+    "key, make",
+    [
+        ("se_range", lambda v: (v, 0.3)),
+        ("se_range", lambda v: (0.1, v)),
+        ("log_or", lambda v: v),
+        ("effect_fraction", lambda v: v),
+    ],
+    ids=["se_low", "se_high", "log_or", "effect_fraction"],
+)
 @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["above", "below"])
-def test_config_rejects_ints_beyond_float_range(name, value):
-    with pytest.raises(ConfigError, match=name):
-        SimulationConfig(scenario=Scenario.MIXTURE, k=5, trials=1, seed=0, **{name: value})
+def test_config_rejects_ints_beyond_float_range(key, make, value):
+    with pytest.raises(ConfigError, match=key):
+        SimulationConfig(
+            scenario=Scenario.MIXTURE, k=5, trials=1, seed=0, **{key: make(value)}
+        )
+
+
+@pytest.mark.parametrize(
+    "scenario, kwargs, key",
+    [
+        (Scenario.FIXED_EFFECT, {"log_or": 1e308}, "log_or"),
+        (Scenario.MIXTURE, {"log_or": -1e308, "effect_fraction": 0.5}, "log_or"),
+        (Scenario.FIXED_EFFECT, {"log_or": 1e300, "se_range": (1e-10, 1.0)}, "log_or"),
+        (Scenario.NULL, {"se_range": (1e308, 1.7e308)}, "se_range"),
+        (Scenario.NULL, {"se_range": (1e-310, 1e-1)}, "se_range"),
+    ],
+)
+def test_config_rejects_draws_that_overflow(scenario, kwargs, key):
+    with pytest.raises(ConfigError, match=f"^{key} .* makes the z draws overflow"):
+        SimulationConfig(scenario=scenario, k=5, trials=1, seed=0, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "scenario, kwargs",
+    [
+        (Scenario.NULL, {"log_or": 1e308}),
+        (Scenario.FIXED_EFFECT, {"log_or": 1e300, "se_range": (1e-7, 1.0)}),
+        (Scenario.FIXED_EFFECT, {"se_range": (1e-300, 1e-300)}),
+        (Scenario.MIXTURE, {"log_or": -1e307, "se_range": (0.5, 1e306)}),
+    ],
+)
+def test_config_accepts_extreme_draws_that_stay_finite(scenario, kwargs):
+    config = SimulationConfig(scenario=scenario, k=50, trials=3, seed=0, **kwargs)
+    for trial in range(3):
+        assert all(0.0 <= p <= 1.0 for p in simulate_trial(config, trial))
+
+
+def test_config_stores_numbers_as_floats():
+    config = SimulationConfig(
+        scenario=Scenario.MIXTURE, k=5, trials=1, seed=0,
+        se_range=[1, 2], log_or=0, effect_fraction=1,
+    )
+    assert config.se_range == (1.0, 2.0)
+    assert [type(v) for v in (*config.se_range, config.log_or, config.effect_fraction)] == [float] * 4
 
 
 def test_trial_index_validation():
