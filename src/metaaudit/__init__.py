@@ -28,6 +28,7 @@ from .errors import (  # noqa: E402
     EmptyInputError,
     InputFileError,
     InvalidIntervalError,
+    OutputFileError,
     OverflowGuardError,
     SERecoveryError,
 )
@@ -91,6 +92,7 @@ __all__ = [
     "InputFileError",
     "InvalidIntervalError",
     "LedgerSummary",
+    "OutputFileError",
     "OverflowGuardError",
     "PlotClassification",
     "PlotConfig",

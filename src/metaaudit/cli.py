@@ -32,7 +32,7 @@ from .errors import AuditError, ConfigError
 from .ingest import ingest_counts, ingest_effects
 from .pooling import pool_dersimonian_laird, pool_fixed
 from .pvplot import PlotConfig, classify_plot, plot_from_effects, render_plot
-from .report import audit_report, canonical_json, file_digest
+from .report import audit_report, canonical_json, file_digest, write_artifacts, write_text
 from .reproduce import run_reproduction
 from .search_space import expected_false_positives, cohort_false_positives, summarize_ledger
 from .simulate import Scenario, SimulationConfig, run_simulation
@@ -48,7 +48,7 @@ def _write_text(output: str | None, text: str) -> None:
     if output is None or output == "-":
         sys.stdout.write(text)
     else:
-        Path(output).write_text(text, encoding="utf-8")
+        write_text(Path(output), text)
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
@@ -119,14 +119,12 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         method,
     )
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     written = {
         f"{path.stem}_plot.svg": render_plot(plot, classification, path.stem, "svg"),
         f"{path.stem}_plot.csv": render_plot(plot, classification, path.stem, "csv"),
         f"{path.stem}_audit.json": canonical_json(report),
     }
-    for name, text in written.items():
-        (outdir / name).write_text(text, encoding="utf-8")
+    write_artifacts(outdir, written)
     print(
         f"{path.stem}: {plot.n} p-values, {plot.n_below_alpha} below alpha, "
         f"verdict {classification.verdict.value}"

@@ -56,6 +56,10 @@ class InputFileError(AuditError, OSError):
     """
 
 
+class OutputFileError(AuditError, OSError):
+    """An output file or directory cannot be created or written."""
+
+
 class CsvFormatError(AuditError):
     """A CSV input failed validation.
 

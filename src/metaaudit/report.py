@@ -19,7 +19,7 @@ from typing import Any, Sequence
 
 from . import __version__
 from .effects import ConversionMethod, EffectEstimate, p_from_effect
-from .errors import DomainError
+from .errors import DomainError, OutputFileError
 from .pooling import PooledResult
 from .pvplot import PlotClassification, PlotConfig, PValuePlot
 
@@ -55,6 +55,24 @@ def file_digest(path: str | Path, rows: int) -> dict[str, Any]:
     path = Path(path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     return {"file": path.name, "rows": rows, "sha256": digest}
+
+
+def write_text(path: Path, text: str) -> None:
+    """Write one artifact; a failure is an OutputFileError naming the path."""
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise OutputFileError(f"{path}: cannot write: {exc.strerror}") from None
+
+
+def write_artifacts(outdir: Path, texts: dict[str, str]) -> None:
+    """Write each named text into outdir, creating the directory first."""
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputFileError(f"{outdir}: cannot write: {exc.strerror}") from None
+    for name, text in texts.items():
+        write_text(outdir / name, text)
 
 
 def conversion_rows(effects: Sequence[EffectEstimate]) -> list[dict[str, Any]]:

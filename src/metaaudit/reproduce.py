@@ -28,7 +28,7 @@ from .ingest import ingest_counts, ingest_effects
 from .pooling import pool_dersimonian_laird, pool_fixed
 from .pvplot import (PlotClassification, PlotVerdict, PValuePlot, classify_plot,
                      plot_from_effects, render_plot)
-from .report import canonical_json, file_digest
+from .report import canonical_json, file_digest, write_artifacts
 from .search_space import cohort_false_positives, expected_false_positives, summarize_ledger
 
 ALPHA = 0.05
@@ -305,9 +305,6 @@ def run_reproduction(outdir: str | Path | None = None) -> dict[str, Any]:
     }
 
     if outdir is not None:
-        outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "reproduction.json").write_text(canonical_json(diff), encoding="utf-8")
-        for filename, svg in _figures(tables).items():
-            (outdir / filename).write_text(svg, encoding="utf-8")
+        texts = {"reproduction.json": canonical_json(diff), **_figures(tables)}
+        write_artifacts(Path(outdir), texts)
     return diff

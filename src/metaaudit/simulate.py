@@ -16,6 +16,12 @@ for the standard error, (2) for MIXTURE only, a uniform for the effect
 indicator, (3) a 53-bit uniform u in (0, 1) mapped through the package's
 own normal quantile to give the z draw. Reports are therefore reproducible
 bit for bit from (config, seed).
+
+The stream is numpy's PCG64/SeedSequence algorithm implemented locally
+(metaaudit.pcg64), and each draw maps raw 64-bit outputs as numpy's
+Generator does: the uniforms are Generator.random() and the open uniform
+is Generator.integers(1, 2**53) / 2**53. numpy is the test oracle for the
+stream and the draws, not a dependency.
 """
 
 from __future__ import annotations
@@ -24,15 +30,11 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
-
-import numpy as np
 
 from .errors import ConfigError
 from .normal import std_normal_quantile, two_sided_p
+from .pcg64 import open_uniform, pcg64_stream, uniform
 from .pvplot import PlotConfig, PlotVerdict, build_plot, classify_plot
-
-_U53 = float(1 << 53)
 
 
 class Scenario(Enum):
@@ -110,12 +112,6 @@ class SimulationReport:
         return self.verdict_counts.get(verdict.value, 0) / self.config.trials
 
 
-def _open_uniform(rng: np.random.Generator) -> float:
-    # integers(1, 2^53) / 2^53 lies strictly inside (0, 1), keeping the
-    # normal quantile in-domain.
-    return int(rng.integers(1, 1 << 53)) / _U53
-
-
 def simulate_trial(config: SimulationConfig, trial_index: int) -> tuple[float, ...]:
     """P-values of one trial's k synthetic studies.
 
@@ -124,19 +120,19 @@ def simulate_trial(config: SimulationConfig, trial_index: int) -> tuple[float, .
     """
     if not isinstance(trial_index, int) or isinstance(trial_index, bool) or trial_index < 0:
         raise ConfigError(f"trial_index must be a non-negative integer, got {trial_index!r}")
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, trial_index]))
+    draw = pcg64_stream([config.seed, trial_index]).__next__
     low, high = config.se_range
     span = high - low
     ps = []
     for _ in range(config.k):
-        se = low + span * float(rng.random())
+        se = low + span * uniform(draw)
         true_log_or = 0.0
         if config.scenario is Scenario.FIXED_EFFECT:
             true_log_or = config.log_or
         elif config.scenario is Scenario.MIXTURE:
-            if float(rng.random()) < config.effect_fraction:
+            if uniform(draw) < config.effect_fraction:
                 true_log_or = config.log_or
-        z = std_normal_quantile(_open_uniform(rng))
+        z = std_normal_quantile(open_uniform(draw))
         estimate = true_log_or + se * z
         ps.append(two_sided_p(estimate / se))
     return tuple(ps)

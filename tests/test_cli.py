@@ -149,6 +149,69 @@ def test_unreadable_input_exits_2(tmp_path, capsys, command, case):
         assert err.startswith(f"error: {located}")
 
 
+_WRITERS = {
+    "convert": ["convert", "{effects}", "--output", "{out}/out.txt"],
+    "pool": ["pool", "{effects}", "--model", "fixed", "--output", "{out}/out.txt"],
+    "plot": ["plot", "{effects}", "--outdir", "{out}"],
+    "count": ["count", "{counts}", "--output", "{out}/out.txt"],
+    "simulate": ["simulate", "--config", "{config}", "--output", "{out}/out.txt"],
+    "reproduce": ["reproduce", "--outdir", "{out}"],
+}
+# The first file an --outdir command writes.
+_FIRST_ARTIFACT = {"plot": "asthma_effects_plot.svg", "reproduce": "reproduction.json"}
+
+
+@pytest.mark.parametrize("case", ["parent-is-a-file", "target-is-a-directory"])
+@pytest.mark.parametrize("command", list(_WRITERS))
+def test_unwritable_output_exits_2(tmp_path, capsys, command, case):
+    config = _write(tmp_path, "sim.json", json.dumps({**SIM_NULL, "trials": 2}))
+    out = tmp_path / "out"
+    target = out / _FIRST_ARTIFACT.get(command, "out.txt")
+    if case == "parent-is-a-file":
+        out.write_text("", encoding="utf-8")
+        # An --outdir that cannot be made is named itself.
+        failed = out if command in _FIRST_ARTIFACT else target
+    else:
+        target.mkdir(parents=True)
+        failed = target
+    argv = [
+        arg.format(
+            effects=fixture_path("asthma_effects.csv"),
+            counts=fixture_path("hypothesis_counts.csv"),
+            config=config,
+            out=out,
+        )
+        for arg in _WRITERS[command]
+    ]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {failed}: cannot write: ")
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import metaaudit",
+        "import metaaudit.cli",
+        "from metaaudit.cli import main\n"
+        "assert main(['simulate', '--config', sys.argv[1], '--output', sys.argv[2]]) == 0",
+    ],
+    ids=["import", "import-cli", "simulate"],
+)
+def test_numpy_is_never_imported(tmp_path, code):
+    config = _write(tmp_path, "sim.json", json.dumps(SIM_NULL))
+    report = tmp_path / "report.json"
+    package_root = Path(metaaudit.__file__).parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{code}\nprint('numpy' in sys.modules)",
+         config, str(report)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+        check=True,
+    )
+    assert result.stdout == "False\n"
+
+
 def test_convert_of_a_z_beyond_float_range_gives_p_zero(tmp_path, capsys):
     source = _write(
         tmp_path,

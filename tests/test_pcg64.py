@@ -1,0 +1,109 @@
+"""The local PCG64 stream against numpy, its test oracle.
+
+numpy is imported here only; the package itself never imports it.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from metaaudit.normal import std_normal_quantile, two_sided_p
+from metaaudit.pcg64 import open_uniform, pcg64_stream, seed_sequence_state, uniform
+from metaaudit.simulate import Scenario, SimulationConfig, simulate_trial
+
+# 2**32 - 1 and 2**32 straddle the one-word boundary; 2**64 + 5 fills the
+# pool exactly with the trial word; 2**129 + 3 gives more than 4 entropy
+# words, which runs SeedSequence's extra mixing loop.
+SEEDS = [0, 1, 2027, 2**32 - 1, 2**32, 2**64 + 5, 2**129 + 3]
+TRIALS = [0, 1, 999, 10**6]
+SEED_TRIALS = list(itertools.product(SEEDS, TRIALS))
+
+
+def _numpy_generator(seed, trial):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, trial])))
+
+
+@pytest.mark.parametrize("seed, trial", SEED_TRIALS)
+def test_seed_state_matches_seed_sequence(seed, trial):
+    want = np.random.SeedSequence([seed, trial]).generate_state(4, np.uint64)
+    assert seed_sequence_state([seed, trial]) == tuple(int(word) for word in want)
+
+
+@pytest.mark.parametrize("seed, trial", SEED_TRIALS)
+def test_raw_stream_matches_pcg64(seed, trial):
+    want = _numpy_generator(seed, trial).bit_generator.random_raw(200)
+    got = list(itertools.islice(pcg64_stream([seed, trial]), 200))
+    assert got == [int(x) for x in want]
+
+
+@pytest.mark.parametrize("seed, trial", SEED_TRIALS)
+def test_mapped_draws_match_generator(seed, trial):
+    rng = _numpy_generator(seed, trial)
+    draw = pcg64_stream([seed, trial]).__next__
+    for _ in range(100):
+        assert uniform(draw) == float(rng.random())
+        assert open_uniform(draw) == int(rng.integers(1, 2**53)) / 2**53
+
+
+def _numpy_trial(config, trial):
+    """simulate_trial's draw order, drawn from numpy's Generator."""
+    rng = _numpy_generator(config.seed, trial)
+    low, high = config.se_range
+    ps = []
+    for _ in range(config.k):
+        se = low + (high - low) * float(rng.random())
+        true_log_or = 0.0
+        if config.scenario is Scenario.FIXED_EFFECT:
+            true_log_or = config.log_or
+        elif config.scenario is Scenario.MIXTURE and float(rng.random()) < config.effect_fraction:
+            true_log_or = config.log_or
+        z = std_normal_quantile(int(rng.integers(1, 2**53)) / 2**53)
+        ps.append(two_sided_p((true_log_or + se * z) / se))
+    return tuple(ps)
+
+
+@pytest.mark.parametrize(
+    "scenario, kwargs",
+    [
+        (Scenario.NULL, {}),
+        (Scenario.FIXED_EFFECT, {"log_or": 0.4}),
+        (Scenario.MIXTURE, {"log_or": 0.5, "effect_fraction": 0.3}),
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 404, 2**129 + 3])
+def test_trials_match_numpy_draws(scenario, kwargs, seed):
+    config = SimulationConfig(scenario=scenario, k=50, trials=1, seed=seed, **kwargs)
+    for trial in (0, 7, 10**6):
+        assert simulate_trial(config, trial) == _numpy_trial(config, trial)
+
+
+def _raw_with_leftover(leftover):
+    """A raw output x whose Lemire product x * (2**53 - 1) has these low 64 bits."""
+    span = 2**53 - 1
+    return leftover * pow(span, -1, 2**64) % 2**64
+
+
+@pytest.mark.parametrize("rejected", [0, _raw_with_leftover(1), _raw_with_leftover(2047)])
+def test_open_uniform_redraws_below_threshold(rejected):
+    accepted = _raw_with_leftover(2048)
+    draws = iter([rejected, accepted, 0])
+    assert open_uniform(draws.__next__) == ((accepted * (2**53 - 1) >> 64) + 1) / 2**53
+    assert next(draws) == 0, "exactly one redraw"
+
+
+def test_open_uniform_bounds():
+    # The extreme accepted raw outputs map to the smallest and largest
+    # values of integers(1, 2**53) / 2**53, both strictly inside (0, 1).
+    smallest = open_uniform(iter([1]).__next__)
+    largest = open_uniform(iter([2**64 - 1]).__next__)
+    assert smallest == 1 / 2**53
+    assert largest == (2**53 - 1) / 2**53
+    assert 0.0 < smallest and largest < 1.0
+    assert math.isfinite(std_normal_quantile(smallest))
+
+
+def test_uniform_uses_the_top_53_bits():
+    assert uniform(iter([2**11 - 1]).__next__) == 0.0
+    assert uniform(iter([2**64 - 1]).__next__) == (2**53 - 1) / 2**53
