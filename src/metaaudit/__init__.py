@@ -6,134 +6,83 @@ p-value plots, counts multiple-testing search spaces and calibrates the
 classifier with seeded simulations. The ``metaaudit`` command exposes the
 same operations, including a hermetic ``reproduce`` run over the bundled
 example datasets.
+
+Public names are listed once, in ``_EXPORTS``, and each is loaded from its
+defining module on first access, so ``import metaaudit`` loads no submodule.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .effects import (  # noqa: E402
-    ConversionMethod,
-    EffectEstimate,
-    ci_from_p,
-    interval_multiplier,
-    p_from_effect,
-    standard_error,
-    z_score,
-)
-from .errors import (  # noqa: E402
-    AuditError,
-    ConfigError,
-    CsvFormatError,
-    DegenerateIntervalError,
-    DomainError,
-    EmptyInputError,
-    InputFileError,
-    InvalidIntervalError,
-    OutputFileError,
-    OverflowGuardError,
-    SERecoveryError,
-)
-from .ingest import ingest_counts, ingest_effects  # noqa: E402
-from .normal import std_normal_cdf, std_normal_quantile  # noqa: E402
-from .pooling import (  # noqa: E402
-    PooledResult,
-    PoolingMethod,
-    pool_dersimonian_laird,
-    pool_fixed,
-)
-from .pvplot import (  # noqa: E402
-    PlotClassification,
-    PlotConfig,
-    PlotDiagnostics,
-    PlotPoint,
-    PlotVerdict,
-    PValuePlot,
-    build_plot,
-    classify_plot,
-    ks_pvalue,
-    ks_statistic,
-    plot_from_effects,
-    render_plot,
-)
-from .report import (  # noqa: E402
-    audit_report,
-    canonical_json,
-    conversion_rows,
-    file_digest,
-)
-from .reproduce import reproduction_figures, run_reproduction  # noqa: E402
-from .search_space import (  # noqa: E402
-    CountBlock,
-    LedgerSummary,
-    StudyCounts,
-    block_search_space,
-    cohort_false_positives,
-    expected_false_positives,
-    summarize_ledger,
-)
-from .simulate import (  # noqa: E402
-    Scenario,
-    SimulationConfig,
-    SimulationReport,
-    run_simulation,
-    simulate_trial,
-)
+_EXPORTS = {
+    "ConversionMethod": "effects",
+    "EffectEstimate": "effects",
+    "interval_multiplier": "effects",
+    "p_from_effect": "effects",
+    "standard_error": "effects",
+    "z_score": "effects",
+    "AuditError": "errors",
+    "ConfigError": "errors",
+    "CsvFormatError": "errors",
+    "DegenerateIntervalError": "errors",
+    "DomainError": "errors",
+    "EmptyInputError": "errors",
+    "InputFileError": "errors",
+    "InvalidIntervalError": "errors",
+    "OutputFileError": "errors",
+    "OverflowGuardError": "errors",
+    "ingest_counts": "ingest",
+    "ingest_effects": "ingest",
+    "std_normal_cdf": "normal",
+    "std_normal_quantile": "normal",
+    "PooledResult": "pooling",
+    "PoolingMethod": "pooling",
+    "pool_dersimonian_laird": "pooling",
+    "pool_fixed": "pooling",
+    "PlotClassification": "pvplot",
+    "PlotConfig": "pvplot",
+    "PlotDiagnostics": "pvplot",
+    "PlotPoint": "pvplot",
+    "PlotVerdict": "pvplot",
+    "PValuePlot": "pvplot",
+    "build_plot": "pvplot",
+    "classify_plot": "pvplot",
+    "ks_pvalue": "pvplot",
+    "ks_statistic": "pvplot",
+    "plot_from_effects": "pvplot",
+    "render_plot": "pvplot",
+    "audit_report": "report",
+    "canonical_json": "report",
+    "conversion_rows": "report",
+    "file_digest": "report",
+    "reproduction_figures": "reproduce",
+    "run_reproduction": "reproduce",
+    "CountBlock": "search_space",
+    "LedgerSummary": "search_space",
+    "StudyCounts": "search_space",
+    "block_search_space": "search_space",
+    "cohort_false_positives": "search_space",
+    "expected_false_positives": "search_space",
+    "summarize_ledger": "search_space",
+    "Scenario": "simulate",
+    "SimulationConfig": "simulate",
+    "SimulationReport": "simulate",
+    "run_simulation": "simulate",
+    "simulate_trial": "simulate",
+}
 
-__all__ = [
-    "__version__",
-    "AuditError",
-    "ConfigError",
-    "ConversionMethod",
-    "CountBlock",
-    "CsvFormatError",
-    "DegenerateIntervalError",
-    "DomainError",
-    "EffectEstimate",
-    "EmptyInputError",
-    "InputFileError",
-    "InvalidIntervalError",
-    "LedgerSummary",
-    "OutputFileError",
-    "OverflowGuardError",
-    "PlotClassification",
-    "PlotConfig",
-    "PlotDiagnostics",
-    "PlotPoint",
-    "PlotVerdict",
-    "PooledResult",
-    "PoolingMethod",
-    "PValuePlot",
-    "SERecoveryError",
-    "Scenario",
-    "SimulationConfig",
-    "SimulationReport",
-    "StudyCounts",
-    "audit_report",
-    "block_search_space",
-    "build_plot",
-    "canonical_json",
-    "ci_from_p",
-    "classify_plot",
-    "cohort_false_positives",
-    "conversion_rows",
-    "expected_false_positives",
-    "file_digest",
-    "ingest_counts",
-    "ingest_effects",
-    "interval_multiplier",
-    "ks_pvalue",
-    "ks_statistic",
-    "p_from_effect",
-    "plot_from_effects",
-    "pool_dersimonian_laird",
-    "pool_fixed",
-    "render_plot",
-    "reproduction_figures",
-    "run_reproduction",
-    "run_simulation",
-    "simulate_trial",
-    "standard_error",
-    "std_normal_cdf",
-    "std_normal_quantile",
-    "summarize_ledger",
-    "z_score",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    """PEP 562 lookup: each access returns the defining module's attribute."""
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(import_module("." + module, __name__), name)
+
+
+def __dir__() -> list[str]:
+    return __all__

@@ -29,7 +29,7 @@ from pathlib import Path
 from . import __version__
 from .effects import ConversionMethod, p_from_effect
 from .errors import AuditError, ConfigError
-from .ingest import ingest_counts, ingest_effects
+from .ingest import EFFECT_COLUMNS, ingest_counts, ingest_effects
 from .pooling import pool_dersimonian_laird, pool_fixed
 from .pvplot import PlotConfig, classify_plot, plot_from_effects, render_plot
 from .report import audit_report, canonical_json, file_digest, write_artifacts, write_text
@@ -55,30 +55,10 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     effects = ingest_effects(args.input)
     method = ConversionMethod(args.method)
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        [
-            "study_label",
-            "subgroup_label",
-            "odds_ratio",
-            "ci_low",
-            "ci_high",
-            "ci_level",
-            "p_value",
-        ]
-    )
+    writer = csv.DictWriter(buffer, (*EFFECT_COLUMNS, "ci_level", "p_value"), lineterminator="\n")
+    writer.writeheader()
     for effect in effects:
-        writer.writerow(
-            [
-                effect.study_label,
-                effect.subgroup_label or "",
-                repr(effect.odds_ratio),
-                repr(effect.ci_low),
-                repr(effect.ci_high),
-                repr(effect.ci_level),
-                repr(p_from_effect(effect, method)),
-            ]
-        )
+        writer.writerow({**asdict(effect), "p_value": p_from_effect(effect, method)})
     _write_text(args.output, buffer.getvalue())
     return 0
 

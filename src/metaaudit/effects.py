@@ -21,12 +21,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import (
-    DegenerateIntervalError,
-    DomainError,
-    InvalidIntervalError,
-    SERecoveryError,
-)
+from .errors import DegenerateIntervalError, DomainError, InvalidIntervalError
 from .normal import std_normal_quantile, two_sided_p
 
 
@@ -116,7 +111,8 @@ def standard_error(estimate: EffectEstimate, method: ConversionMethod) -> float:
     se = width / q2
     if se <= 0.0:
         raise DegenerateIntervalError(
-            f"{estimate.display_label()}: interval width is zero, SE undefined"
+            f"{estimate.display_label()}: interval width is zero, SE undefined",
+            field="ci_high",
         )
     return se
 
@@ -132,40 +128,3 @@ def z_score(estimate: EffectEstimate, method: ConversionMethod) -> float:
 def p_from_effect(estimate: EffectEstimate, method: ConversionMethod) -> float:
     """Two-sided p-value of the estimate's z-score; see normal.two_sided_p."""
     return two_sided_p(z_score(estimate, method))
-
-
-def ci_from_p(
-    estimate_log_or: float, p: float, ci_level: float = 0.95
-) -> tuple[float, float]:
-    """Reconstruct a confidence interval from a log odds ratio and p-value.
-
-    Inverts the LOG conversion: z = Phi^-1(1 - p/2), SE = |log OR| / z, and
-    the bounds are exp(log OR -/+ q * SE) with q the multiplier for
-    ci_level. Exact recovery is only possible when the original interval
-    was symmetric on the log scale.
-
-    Raises:
-        SERecoveryError: if p = 1 (z would be 0) or estimate_log_or = 0,
-            both of which leave the SE undetermined.
-        DomainError: if p is outside (0, 1] or any input is not finite.
-    """
-    if not isinstance(estimate_log_or, (int, float)) or isinstance(estimate_log_or, bool):
-        raise DomainError(f"estimate_log_or must be a real number, got {estimate_log_or!r}")
-    if not math.isfinite(estimate_log_or):
-        raise DomainError(f"estimate_log_or must be finite, got {estimate_log_or!r}")
-    if not isinstance(p, (int, float)) or isinstance(p, bool) or not math.isfinite(p):
-        raise DomainError(f"p must be a finite real number, got {p!r}")
-    if p == 1.0:
-        raise SERecoveryError("p = 1 gives z = 0, standard error is undetermined")
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"p must be inside (0, 1), got {p!r}")
-    if estimate_log_or == 0.0:
-        raise SERecoveryError("a null estimate carries no scale, SE is undetermined")
-
-    z = std_normal_quantile(1.0 - p / 2.0)
-    se = abs(estimate_log_or) / z
-    q = interval_multiplier(ci_level)
-    return (
-        math.exp(estimate_log_or - q * se),
-        math.exp(estimate_log_or + q * se),
-    )

@@ -32,10 +32,6 @@ class DegenerateIntervalError(InvalidIntervalError):
     """An interval has zero width, so no standard error can be derived."""
 
 
-class SERecoveryError(AuditError):
-    """A standard error cannot be recovered from (estimate, p) inputs."""
-
-
 class EmptyInputError(AuditError):
     """An operation that needs at least one record received none."""
 

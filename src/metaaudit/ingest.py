@@ -4,8 +4,9 @@ Effect files require the columns
 
     study_label,subgroup_label,odds_ratio,ci_low,ci_high
 
-plus an optional ci_level column (blank cells default to 0.95). Count
-files require
+plus an optional ci_level column (blank cells default to 0.95). A row
+whose interval has zero width under the natural or the log reading is
+rejected, since no standard error follows from it. Count files require
 
     paper_label,region,block_label,outcomes,predictors,covariates
 
@@ -27,7 +28,7 @@ import io
 import warnings
 from pathlib import Path
 
-from .effects import EffectEstimate
+from .effects import ConversionMethod, EffectEstimate, standard_error
 from .errors import AuditError, CsvFormatError, EmptyInputError, InputFileError
 from .search_space import CountBlock, StudyCounts, block_search_space
 
@@ -143,6 +144,8 @@ def ingest_effects(path: str | Path) -> list[EffectEstimate]:
                     subgroup_label=row.get("subgroup_label") or None,
                     ci_level=fields.get("ci_level", 0.95),
                 )
+            for method in ConversionMethod:
+                standard_error(effect, method)
         except AuditError as exc:
             diagnostics.append((line, exc.field, str(exc)))
             continue

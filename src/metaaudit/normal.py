@@ -152,18 +152,15 @@ def std_normal_quantile(p: float) -> float:
     if p == 0.5:
         return 0.0
 
-    if p < _ACKLAM_P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
+    if p < _ACKLAM_P_LOW or p > 1.0 - _ACKLAM_P_LOW:
+        # The upper tail by symmetry; (-a) / b == -(a / b) exactly in IEEE arithmetic.
+        q = math.sqrt(-2.0 * math.log(p if p < 0.5 else 1.0 - p))
         a, b, c, d, e, f = _ACKLAM_C
         x = (((((a * q + b) * q + c) * q + d) * q + e) * q + f) / (
             (((_ACKLAM_D[0] * q + _ACKLAM_D[1]) * q + _ACKLAM_D[2]) * q + _ACKLAM_D[3]) * q + 1.0
         )
-    elif p > 1.0 - _ACKLAM_P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        a, b, c, d, e, f = _ACKLAM_C
-        x = -(((((a * q + b) * q + c) * q + d) * q + e) * q + f) / (
-            (((_ACKLAM_D[0] * q + _ACKLAM_D[1]) * q + _ACKLAM_D[2]) * q + _ACKLAM_D[3]) * q + 1.0
-        )
+        if p > 0.5:
+            x = -x
     else:
         q = p - 0.5
         r = q * q

@@ -15,13 +15,15 @@ import math
 from dataclasses import asdict, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from . import __version__
 from .effects import ConversionMethod, EffectEstimate, p_from_effect
 from .errors import DomainError, OutputFileError
-from .pooling import PooledResult
-from .pvplot import PlotClassification, PlotConfig, PValuePlot
+
+if TYPE_CHECKING:
+    from .pooling import PooledResult
+    from .pvplot import PlotClassification, PlotConfig, PValuePlot
 
 
 def _canonical_value(value: Any) -> Any:

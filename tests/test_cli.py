@@ -212,6 +212,37 @@ def test_numpy_is_never_imported(tmp_path, code):
     assert result.stdout == "False\n"
 
 
+PACKAGE_CONTRACT = """
+import sys
+import metaaudit
+loaded = sorted(name for name in sys.modules if name.startswith("metaaudit"))
+assert loaded == ["metaaudit"], loaded
+assert len(set(metaaudit.__all__)) == len(metaaudit.__all__)
+for name in metaaudit.__all__[1:]:
+    value = getattr(metaaudit, name)
+    assert getattr(sys.modules[value.__module__], name) is value, name
+namespace = {}
+exec("from metaaudit import *", namespace)
+assert sorted(set(namespace) - {"__builtins__"}) == sorted(metaaudit.__all__)
+assert set(metaaudit.__all__) <= set(dir(metaaudit))
+try:
+    metaaudit.no_such_name
+except AttributeError:
+    print("ok")
+"""
+
+
+def test_package_exports_load_on_first_use():
+    package_root = Path(metaaudit.__file__).parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", PACKAGE_CONTRACT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert (result.returncode, result.stdout) == (0, "ok\n"), result.stderr
+
+
 def test_convert_of_a_z_beyond_float_range_gives_p_zero(tmp_path, capsys):
     source = _write(
         tmp_path,
@@ -482,6 +513,11 @@ def test_reproduce_passes_and_is_deterministic(tmp_path, capsys):
             "simulate_mixture.json",
             ["simulate", "--config", "{out}/mix.json", "--output", "{out}/mixture.json"],
             "mixture.json",
+        ),
+        (
+            "wheeze_effects_convert_log.csv",
+            ["convert", "{fixtures}/wheeze_effects.csv", "--method", "log", "--output", "{out}/convert.csv"],
+            "convert.csv",
         ),
     ],
 )

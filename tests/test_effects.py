@@ -16,8 +16,6 @@ from metaaudit import (
     DomainError,
     EffectEstimate,
     InvalidIntervalError,
-    SERecoveryError,
-    ci_from_p,
     ingest_effects,
     interval_multiplier,
     p_from_effect,
@@ -139,40 +137,6 @@ def test_null_or_gives_p_exactly_one():
     estimate = EffectEstimate("null", 1.0, 0.5, 2.0)
     assert p_from_effect(estimate, ConversionMethod.NATURAL) == 1.0
     assert p_from_effect(estimate, ConversionMethod.LOG) == 1.0
-
-
-@pytest.mark.parametrize(
-    "log_or, se",
-    [
-        (log_or, se)
-        for log_or in (0.405, -0.405, 1.2, -0.05)
-        for se in (0.05, 0.2, 0.6)
-        # Past |z| ~ 7.5 the p-value is too small to carry the interval.
-        if abs(log_or) / se <= 7.5
-    ],
-)
-def test_ci_from_p_round_trip(log_or, se):
-    q = interval_multiplier(0.95)
-    low = math.exp(log_or - q * se)
-    high = math.exp(log_or + q * se)
-    estimate = EffectEstimate("rt", math.exp(log_or), low, high)
-    p = p_from_effect(estimate, ConversionMethod.LOG)
-    got_low, got_high = ci_from_p(log_or, p)
-    assert got_low == pytest.approx(low, rel=1e-7)
-    assert got_high == pytest.approx(high, rel=1e-7)
-
-
-def test_ci_from_p_requires_information():
-    with pytest.raises(SERecoveryError):
-        ci_from_p(0.405, 1.0)
-    with pytest.raises(SERecoveryError):
-        ci_from_p(0.0, 0.04)
-    with pytest.raises(DomainError):
-        ci_from_p(0.405, 0.0)
-    with pytest.raises(DomainError):
-        ci_from_p(0.405, 1.5)
-    with pytest.raises(DomainError):
-        ci_from_p(math.nan, 0.04)
 
 
 def test_estimate_validation():

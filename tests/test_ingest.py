@@ -125,6 +125,9 @@ def test_semantic_errors_reported_per_row(tmp_path):
         ("A 2001,,0.0,1.0,2.0,", "odds_ratio"),
         ("A 2001,,1.5,1.0,2.0,95", "ci_level"),
         ("A 2001,,inf,1.0,2.0,", "odds_ratio"),
+        # Zero width under one reading only: natural, then log.
+        ("D,,1,5e-324,1e-323,", "ci_high"),
+        ("D,,1e300,1e300,1.0000000000000002e300,", "ci_high"),
     ],
 )
 def test_semantic_errors_name_the_faulty_column(tmp_path, row, column):
