@@ -32,6 +32,7 @@ _EXPORTS = {
     "InvalidIntervalError": "errors",
     "OutputFileError": "errors",
     "OverflowGuardError": "errors",
+    "Ingested": "ingest",
     "ingest_counts": "ingest",
     "ingest_effects": "ingest",
     "std_normal_cdf": "normal",
@@ -55,7 +56,6 @@ _EXPORTS = {
     "audit_report": "report",
     "canonical_json": "report",
     "conversion_rows": "report",
-    "file_digest": "report",
     "reproduction_figures": "reproduce",
     "run_reproduction": "reproduce",
     "CountBlock": "search_space",

@@ -32,7 +32,7 @@ from .errors import AuditError, ConfigError
 from .ingest import EFFECT_COLUMNS, ingest_counts, ingest_effects
 from .pooling import pool_dersimonian_laird, pool_fixed
 from .pvplot import PlotConfig, classify_plot, plot_from_effects, render_plot
-from .report import audit_report, canonical_json, file_digest, write_artifacts, write_text
+from .report import audit_report, canonical_json, write_artifacts, write_text
 from .reproduce import run_reproduction
 from .search_space import expected_false_positives, cohort_false_positives, summarize_ledger
 from .simulate import Scenario, SimulationConfig, run_simulation
@@ -71,7 +71,7 @@ def _cmd_pool(args: argparse.Namespace) -> int:
         result = pool_dersimonian_laird(effects, ci_level=args.level)
     payload = {
         "version": __version__,
-        "input": file_digest(args.input, len(effects)),
+        "input": effects.digest,
         "result": result,
     }
     _write_text(args.output, canonical_json(payload))
@@ -90,7 +90,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         "dersimonian_laird": pool_dersimonian_laird(effects),
     }
     report = audit_report(
-        file_digest(path, len(effects)),
+        effects.digest,
         effects,
         pooled,
         plot,
@@ -119,27 +119,22 @@ def _cmd_count(args: argparse.Namespace) -> int:
     summary = summarize_ledger(studies)
     payload = {
         "version": __version__,
-        "input": file_digest(args.input, len(studies)),
+        "input": studies.digest,
         "alpha": args.alpha,
         "studies": [
             {
-                "paper_label": study.paper_label,
-                "region": study.region,
-                "blocks": [
-                    {**asdict(block), "search_space": block.search_space()}
-                    for block in study.blocks
-                ],
-                "search_space": study.search_space(),
+                **asdict(study),
                 "expected_false_positives": expected_false_positives(
-                    study.search_space(), args.alpha
+                    study.search_space, args.alpha
                 ),
             }
             for study in studies
         ],
         "summary": {
             **asdict(summary),
-            "mean_rounded": summary.mean_rounded(),
-            "median_expected_false_positives": args.alpha * summary.median,
+            "median_expected_false_positives": expected_false_positives(
+                summary.median, args.alpha
+            ),
         },
     }
     _write_text(args.output, canonical_json(payload))

@@ -16,6 +16,7 @@ two-sided p-value is p = 2 * (1 - Phi(|z|)) in both conventions.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -87,8 +88,12 @@ class EffectEstimate:
         return self.study_label
 
 
+@functools.lru_cache
 def interval_multiplier(ci_level: float) -> float:
-    """Two-sided standard normal multiplier q for a confidence level."""
+    """Two-sided standard normal multiplier q for a confidence level.
+
+    Cached: nearly every row of a table shares one level.
+    """
     if not 0.0 < ci_level < 1.0:
         raise DomainError(f"ci_level must be inside (0, 1), got {ci_level!r}")
     return std_normal_quantile(1.0 - (1.0 - ci_level) / 2.0)

@@ -12,7 +12,9 @@ rejected, since no standard error follows from it. Count files require
 
 where rows sharing a paper_label form that paper's blocks. Column order
 does not matter and unknown extra columns are ignored, which lets emitted
-CSVs (input columns plus derived ones) round-trip through ingestion.
+CSVs (input columns plus derived ones) round-trip through ingestion. A
+column that is read may appear only once; a leading UTF-8 byte order mark
+is skipped. Each file is read once, so a pipe such as /dev/stdin works.
 
 Validation rejects whole files: every offending cell is reported as
 file:line:column before a CsvFormatError is raised. A file with a valid
@@ -24,13 +26,14 @@ file:line when the line is known.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import warnings
 from pathlib import Path
 
 from .effects import ConversionMethod, EffectEstimate, standard_error
 from .errors import AuditError, CsvFormatError, EmptyInputError, InputFileError
-from .search_space import CountBlock, StudyCounts, block_search_space
+from .search_space import CountBlock, StudyCounts
 
 EFFECT_COLUMNS = ("study_label", "subgroup_label", "odds_ratio", "ci_low", "ci_high")
 COUNT_COLUMNS = (
@@ -43,18 +46,31 @@ COUNT_COLUMNS = (
 )
 
 
-def _open_rows(path: Path, required: tuple[str, ...]) -> tuple[list[dict[str, str]], list[int]]:
-    """Parse a CSV into dict rows, checking the header. Returns rows and
-    the csv-reader line number of each row."""
+class Ingested(list):
+    """The records parsed from one file, in file order. digest is the
+    file's provenance: its name, the record count and the bytes' SHA-256."""
+
+    def __init__(self, records: list, name: str, data: bytes):
+        super().__init__(records)
+        sha256 = hashlib.sha256(data).hexdigest()
+        self.digest = {"file": name, "rows": len(self), "sha256": sha256}
+
+
+def _open_rows(
+    path: Path, required: tuple[str, ...], optional: tuple[str, ...] = ()
+) -> tuple[list[dict[str, str]], list[int], bytes]:
+    """Parse a CSV into dict rows, checking the header. Returns the rows,
+    the csv-reader line number of each row and the bytes read."""
     name = path.name
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise InputFileError(f"{name}: cannot read: {exc.strerror}") from None
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        # exc.object is the input after any byte order mark, as exc.start is.
+        line = exc.object.count(b"\n", 0, exc.start) + 1
         raise InputFileError(f"{name}:{line}: not UTF-8 text: {exc.reason}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
@@ -62,11 +78,10 @@ def _open_rows(path: Path, required: tuple[str, ...]) -> tuple[list[dict[str, st
         if header is None:
             raise EmptyInputError(f"{name}: file is empty")
         header = [column.strip() for column in header]
-        missing = [column for column in required if column not in header]
-        if missing:
-            raise CsvFormatError(
-                name, [(1, column, "required column is missing") for column in missing]
-            )
+        problems = [(1, c, "required column is missing") for c in required if c not in header]
+        problems += [(1, c, "duplicate column") for c in required + optional if header.count(c) > 1]
+        if problems:
+            raise CsvFormatError(name, problems)
         rows = []
         lines = []
         for record in reader:
@@ -82,7 +97,7 @@ def _open_rows(path: Path, required: tuple[str, ...]) -> tuple[list[dict[str, st
         raise InputFileError(f"{name}:{reader.line_num}: {exc}") from None
     if not rows:
         raise EmptyInputError(f"{name}: no data rows after the header")
-    return rows, lines
+    return rows, lines, data
 
 
 def _parse_float(row: dict[str, str], column: str) -> float:
@@ -101,7 +116,7 @@ def _parse_int(row: dict[str, str], column: str) -> int:
         raise ValueError(f"{text!r} is not an integer") from None
 
 
-def ingest_effects(path: str | Path) -> list[EffectEstimate]:
+def ingest_effects(path: str | Path) -> Ingested:
     """Load study effect records, preserving file order.
 
     A row's warnings, such as an odds ratio outside its own interval, are
@@ -109,7 +124,7 @@ def ingest_effects(path: str | Path) -> list[EffectEstimate]:
     raised them.
     """
     path = Path(path)
-    rows, lines = _open_rows(path, EFFECT_COLUMNS)
+    rows, lines, data = _open_rows(path, EFFECT_COLUMNS, ("ci_level",))
     effects = []
     diagnostics: list[tuple[int, str, str]] = []
     for row, line in zip(rows, lines):
@@ -154,17 +169,17 @@ def ingest_effects(path: str | Path) -> list[EffectEstimate]:
         effects.append(effect)
     if diagnostics:
         raise CsvFormatError(path.name, diagnostics)
-    return effects
+    return Ingested(effects, path.name, data)
 
 
-def ingest_counts(path: str | Path) -> list[StudyCounts]:
+def ingest_counts(path: str | Path) -> Ingested:
     """Load model-count records, grouping rows by paper_label.
 
     Papers keep their first-appearance order; a paper's region must agree
     across its rows.
     """
     path = Path(path)
-    rows, lines = _open_rows(path, COUNT_COLUMNS)
+    rows, lines, data = _open_rows(path, COUNT_COLUMNS)
     diagnostics: list[tuple[int, str, str]] = []
     order: list[str] = []
     regions: dict[str, str] = {}
@@ -185,7 +200,7 @@ def ingest_counts(path: str | Path) -> list[StudyCounts]:
         if bad:
             continue
         try:
-            block_search_space(**counts)
+            block = CountBlock(block_label=row.get("block_label", ""), **counts)
         except AuditError as exc:
             diagnostics.append((line, exc.field, str(exc)))
             continue
@@ -199,17 +214,11 @@ def ingest_counts(path: str | Path) -> list[StudyCounts]:
                 (line, "region", f"conflicts with earlier region {regions[label]!r}")
             )
             continue
-        blocks[label].append(
-            CountBlock(
-                block_label=row.get("block_label", ""),
-                outcomes=counts["outcomes"],
-                predictors=counts["predictors"],
-                covariates=counts["covariates"],
-            )
-        )
+        blocks[label].append(block)
     if diagnostics:
         raise CsvFormatError(path.name, diagnostics)
-    return [
+    studies = [
         StudyCounts(paper_label=label, region=regions[label], blocks=tuple(blocks[label]))
         for label in order
     ]
+    return Ingested(studies, path.name, data)

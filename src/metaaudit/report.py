@@ -9,7 +9,6 @@ types go into a report as they are.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict, fields, is_dataclass
@@ -50,13 +49,6 @@ def canonical_json(payload: Any) -> str:
     Dicts, lists, tuples, dataclasses and enums may nest to any depth.
     """
     return json.dumps(_canonical_value(payload), sort_keys=True, indent=2) + "\n"
-
-
-def file_digest(path: str | Path, rows: int) -> dict[str, Any]:
-    """Input provenance: file name, data-row count, content hash."""
-    path = Path(path)
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    return {"file": path.name, "rows": rows, "sha256": digest}
 
 
 def write_text(path: Path, text: str) -> None:

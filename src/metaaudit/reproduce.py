@@ -23,12 +23,12 @@ from pathlib import Path
 from typing import Any
 
 from . import __version__
-from .effects import ConversionMethod, EffectEstimate
-from .ingest import ingest_counts, ingest_effects
+from .effects import ConversionMethod
+from .ingest import Ingested, ingest_counts, ingest_effects
 from .pooling import pool_dersimonian_laird, pool_fixed
 from .pvplot import (PlotClassification, PlotVerdict, PValuePlot, classify_plot,
                      plot_from_effects, render_plot)
-from .report import canonical_json, file_digest, write_artifacts
+from .report import canonical_json, write_artifacts
 from .search_space import cohort_false_positives, expected_false_positives, summarize_ledger
 
 ALPHA = 0.05
@@ -102,6 +102,7 @@ EXPECTED_SEARCH_SPACES = (
     ("Strachan 1996", 18432),
     ("Wong 2004", 131072),
 )
+# LedgerSummary fields, checked in this order as ledger_<field>.
 EXPECTED_LEDGER_SUMMARY = {
     "lower_quartile": 6336.0,
     "median": 15360.0,
@@ -143,20 +144,19 @@ def fixture_path(name: str) -> Path:
     return Path(__file__).parent / "fixtures" / name
 
 
-_EffectTable = tuple[Path, list[EffectEstimate], PValuePlot, PlotClassification]
+_EffectTable = tuple[Ingested, PValuePlot, PlotClassification]
 
 
 def _effect_table(dataset: str) -> _EffectTable:
-    """A bundled effect table: path, rows, NATURAL plot and its classification."""
-    path = fixture_path(f"{dataset}_effects.csv")
-    effects = ingest_effects(path)
+    """A bundled effect table: rows, NATURAL plot and its classification."""
+    effects = ingest_effects(fixture_path(f"{dataset}_effects.csv"))
     plot = plot_from_effects(effects, ConversionMethod.NATURAL, alpha=ALPHA)
-    return path, effects, plot, classify_plot(plot)
+    return effects, plot, classify_plot(plot)
 
 
 def _figures(tables: dict[str, _EffectTable]) -> dict[str, str]:
     return {
-        filename: render_plot(*tables[dataset][2:], FIGURE_TITLES[dataset], "svg")
+        filename: render_plot(*tables[dataset][1:], FIGURE_TITLES[dataset], "svg")
         for dataset, filename in FIGURE_FILES.items()
     }
 
@@ -195,8 +195,6 @@ def run_reproduction(outdir: str | Path | None = None) -> dict[str, Any]:
             }
         )
 
-    fixtures: dict[str, Any] = {}
-
     # Study-effect tables: p-values, plot counts, shape verdicts.
     tables = {dataset: _effect_table(dataset) for dataset in FIGURE_FILES}
     plots = {}
@@ -204,8 +202,7 @@ def run_reproduction(outdir: str | Path | None = None) -> dict[str, Any]:
         ("asthma", EXPECTED_ASTHMA_P),
         ("wheeze", EXPECTED_WHEEZE_P),
     ):
-        path, effects, plot, _ = tables[dataset]
-        fixtures[path.name] = file_digest(path, len(effects))
+        plot = tables[dataset][1]
         plots[dataset] = plot
         by_label = {point.label: point.p_value for point in plot.points}
         for label, expected_p in expected_rows:
@@ -225,7 +222,7 @@ def run_reproduction(outdir: str | Path | None = None) -> dict[str, Any]:
     )
     check("wheeze_significant_negative", 4, significant_negative, 0)
     for dataset in ("asthma", "wheeze"):
-        verdict = tables[dataset][3].verdict
+        verdict = tables[dataset][2].verdict
         check(
             f"{dataset}_verdict_not_effect_line",
             1,
@@ -235,45 +232,38 @@ def run_reproduction(outdir: str | Path | None = None) -> dict[str, Any]:
 
     # Informational random-effects pools on the full row sets.
     for dataset in ("asthma", "wheeze"):
-        pooled = pool_dersimonian_laird(tables[dataset][1])
+        pooled = pool_dersimonian_laird(tables[dataset][0])
         targets = INFORMATIONAL_DL[dataset]
         check(f"{dataset}_dl_or", targets["or"], pooled.pooled_or, 0.0, gated=False)
         check(f"{dataset}_dl_ci_low", targets["ci_low"], pooled.ci_low, 0.0, gated=False)
         check(f"{dataset}_dl_ci_high", targets["ci_high"], pooled.ci_high, 0.0, gated=False)
 
     # Model-count ledger: per-paper spaces and distribution summary.
-    path = fixture_path("hypothesis_counts.csv")
-    studies = ingest_counts(path)
-    fixtures[path.name] = file_digest(path, len(studies))
-    spaces = {study.paper_label: study.search_space() for study in studies}
+    studies = ingest_counts(fixture_path("hypothesis_counts.csv"))
+    spaces = {study.paper_label: study.search_space for study in studies}
     for label, expected_space in EXPECTED_SEARCH_SPACES:
         check(f"nh[{label}]", expected_space, spaces[label], 0)
     summary = summarize_ledger(studies)
-    check("ledger_lower_quartile", EXPECTED_LEDGER_SUMMARY["lower_quartile"], summary.lower_quartile, 0)
-    check("ledger_median", EXPECTED_LEDGER_SUMMARY["median"], summary.median, 0)
-    check("ledger_upper_quartile", EXPECTED_LEDGER_SUMMARY["upper_quartile"], summary.upper_quartile, 0)
-    check("ledger_maximum", EXPECTED_LEDGER_SUMMARY["maximum"], summary.maximum, 0)
-    check("ledger_mean_rounded", EXPECTED_LEDGER_SUMMARY["mean_rounded"], summary.mean_rounded(), 0)
+    for name, expected in EXPECTED_LEDGER_SUMMARY.items():
+        check(f"ledger_{name}", expected, getattr(summary, name), 0)
     check(
         "median_expected_fp",
         EXPECTED_MEDIAN_FP,
-        expected_false_positives(int(summary.median), ALPHA),
+        expected_false_positives(summary.median, ALPHA),
         0,
     )
 
     # Single-study block ledger.
-    path = fixture_path("lungfunction_blocks.csv")
-    lung = ingest_counts(path)
-    fixtures[path.name] = file_digest(path, len(lung))
+    lung = ingest_counts(fixture_path("lungfunction_blocks.csv"))
     study = lung[0]
-    block_spaces = {block.block_label: block.search_space() for block in study.blocks}
+    block_spaces = {block.block_label: block.search_space for block in study.blocks}
     for label, expected_space in EXPECTED_LUNGFUNCTION_BLOCKS:
         check(f"block[{label}]", expected_space, block_spaces[label], 0)
-    check("lungfunction_total", EXPECTED_LUNGFUNCTION_TOTAL, study.search_space(), 0)
+    check("lungfunction_total", EXPECTED_LUNGFUNCTION_TOTAL, study.search_space, 0)
     check(
         "lungfunction_expected_fp",
         EXPECTED_LUNGFUNCTION_FP,
-        expected_false_positives(study.search_space(), ALPHA),
+        expected_false_positives(study.search_space, ALPHA),
         0,
     )
 
@@ -282,14 +272,14 @@ def run_reproduction(outdir: str | Path | None = None) -> dict[str, Any]:
     check("cohort_fp_rounded", EXPECTED_COHORT_FP_ROUNDED, round(cohort), 0)
 
     # Fixed-effect combination of the two regional estimates.
-    path = fixture_path("region_pair.csv")
-    pair = ingest_effects(path)
-    fixtures[path.name] = file_digest(path, len(pair))
+    pair = ingest_effects(fixture_path("region_pair.csv"))
     pooled = pool_fixed(pair)
     check("region_pool_or", EXPECTED_REGION_POOL["or"], pooled.pooled_or, REGION_TOLERANCE)
     check("region_pool_ci_low", EXPECTED_REGION_POOL["ci_low"], pooled.ci_low, REGION_TOLERANCE)
     check("region_pool_ci_high", EXPECTED_REGION_POOL["ci_high"], pooled.ci_high, REGION_TOLERANCE)
 
+    inputs = (*(table[0] for table in tables.values()), studies, lung, pair)
+    fixtures = {rows.digest["file"]: rows.digest for rows in inputs}
     gated = [c for c in checks if c["gated"]]
     passed = [c for c in gated if c["pass"]]
     diff = {

@@ -8,7 +8,8 @@ numbers auditable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import DomainError, EmptyInputError, OverflowGuardError
@@ -45,41 +46,43 @@ class CountBlock:
     and the per-paper search space is the sum over blocks. The outcomes
     count is the final multiplied-out figure when a paper crosses factors
     (e.g. 7 outcomes each at 3 cutoffs is stored as outcomes = 21).
+    search_space is the block's O * P * 2^C, set on construction.
     """
 
     block_label: str
     outcomes: int
     predictors: int
     covariates: int
+    search_space: int = field(init=False)
 
     def __post_init__(self) -> None:
-        block_search_space(self.outcomes, self.predictors, self.covariates)
-
-    def search_space(self) -> int:
-        return block_search_space(self.outcomes, self.predictors, self.covariates)
+        space = block_search_space(self.outcomes, self.predictors, self.covariates)
+        object.__setattr__(self, "search_space", space)
 
 
 @dataclass(frozen=True)
 class StudyCounts:
-    """All counted model blocks of one paper."""
+    """All counted model blocks of one paper; search_space is their sum."""
 
     paper_label: str
     region: str
     blocks: tuple[CountBlock, ...]
+    search_space: int = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.paper_label or not self.paper_label.strip():
             raise DomainError("paper_label must be a non-empty string")
         if not self.blocks:
             raise EmptyInputError(f"{self.paper_label}: a study needs at least one block")
-
-    def search_space(self) -> int:
-        return sum(block.search_space() for block in self.blocks)
+        object.__setattr__(self, "search_space", sum(b.search_space for b in self.blocks))
 
 
-def expected_false_positives(n_space: int, alpha: float) -> float:
-    """Expected count of false-positive analyses, alpha * N."""
-    _check_count("n_space", n_space, 0)
+def expected_false_positives(n_space: float, alpha: float) -> float:
+    """Expected count of false-positive analyses, alpha * N. N may be a
+    ledger's interpolated median, so it need not be an integer."""
+    finite = isinstance(n_space, (int, float)) and 0 <= n_space < math.inf
+    if isinstance(n_space, bool) or not finite:
+        raise DomainError(f"n_space must be finite and >= 0, got {n_space!r}", field="n_space")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be inside (0, 1), got {alpha!r}")
     return alpha * n_space
@@ -102,7 +105,7 @@ def cohort_false_positives(
 
 @dataclass(frozen=True)
 class LedgerSummary:
-    """Distribution summary of per-paper search spaces."""
+    """Distribution summary of per-paper search spaces; mean_rounded = round(mean)."""
 
     n: int
     minimum: int
@@ -111,9 +114,10 @@ class LedgerSummary:
     upper_quartile: float
     maximum: int
     mean: float
+    mean_rounded: int = field(init=False)
 
-    def mean_rounded(self) -> int:
-        return round(self.mean)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "mean_rounded", round(self.mean))
 
 
 def _interpolated_quantile(sorted_values: Sequence[int], q: float) -> float:
@@ -134,7 +138,7 @@ def summarize_ledger(studies: Sequence[StudyCounts]) -> LedgerSummary:
     """Five-number-plus-mean summary of per-paper search spaces."""
     if not studies:
         raise EmptyInputError("ledger summary requires at least one study")
-    values = sorted(study.search_space() for study in studies)
+    values = sorted(study.search_space for study in studies)
     n = len(values)
     return LedgerSummary(
         n=n,

@@ -104,7 +104,7 @@ def test_acceptance_1_pvalue_reproduction():
 def test_acceptance_2_search_space_reproduction():
     start = time.perf_counter()
     studies = ingest_counts(fixture_path("hypothesis_counts.csv"))
-    spaces = {s.paper_label: s.search_space() for s in studies}
+    spaces = {s.paper_label: s.search_space for s in studies}
     for label, expected in EXPECTED_SEARCH_SPACES:
         assert spaces[label] == expected, label
     assert min(spaces.values()) == 320
@@ -115,12 +115,12 @@ def test_acceptance_2_search_space_reproduction():
     assert summary.lower_quartile == 6336.0
     assert summary.upper_quartile == 49152.0
     assert summary.maximum == 304128
-    assert summary.mean_rounded() == 49925
+    assert summary.mean_rounded == 49925
 
     lung = ingest_counts(fixture_path("lungfunction_blocks.csv"))[0]
-    parts = [b.search_space() for b in lung.blocks]
+    parts = [b.search_space for b in lung.blocks]
     assert parts == [2688, 458752]
-    assert lung.search_space() == 461440
+    assert lung.search_space == 461440
     assert expected_false_positives(461440, 0.05) == 23072.0
     assert expected_false_positives(15360, 0.05) == 768.0
     assert round(cohort_false_positives(107, 13824, 0.05)) == 73958

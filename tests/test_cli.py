@@ -1,6 +1,7 @@
 """Command line behavior: outputs, exit codes, error reporting."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -400,6 +401,37 @@ def test_count_summary(capsys):
     spaces = {s["paper_label"]: s["search_space"] for s in payload["studies"]}
     assert spaces["Diette 2007"] == 320
     assert spaces["Lin 2013b"] == 304128
+
+
+def test_count_median_false_positives_use_the_interpolated_median(tmp_path, capsys):
+    # Two papers, spaces 8 and 17: the median is 12.5, not an integer.
+    ledger = _write(
+        tmp_path,
+        "pair.csv",
+        "paper_label,region,block_label,outcomes,predictors,covariates\n"
+        "A,x,models,8,1,0\n"
+        "B,x,models,17,1,0\n",
+    )
+    assert main(["count", ledger, "--alpha", "0.05"]) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["median"] == 12.5
+    assert summary["median_expected_false_positives"] == 0.05 * 12.5 == 0.625
+
+
+def test_pool_reads_a_pipe_once(tmp_path):
+    source = fixture_path("asthma_effects.csv")
+    package_root = Path(metaaudit.__file__).parent.parent
+    # input= hands the bytes over through a pipe, which can be read only once.
+    result = subprocess.run(
+        [sys.executable, "-m", "metaaudit.cli", "pool", "/dev/stdin", "--model", "fixed"],
+        input=source.read_bytes(),
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+        check=True,
+    )
+    digest = json.loads(result.stdout)["input"]
+    assert digest["rows"] == 13
+    assert digest["sha256"] == hashlib.sha256(source.read_bytes()).hexdigest()
 
 
 def test_cohort_output(capsys):

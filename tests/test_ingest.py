@@ -1,5 +1,6 @@
 """CSV ingestion: bundled fixtures, validation diagnostics, round-trips."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from metaaudit import (
     CsvFormatError,
     EmptyInputError,
+    InputFileError,
     ingest_counts,
     ingest_effects,
 )
@@ -55,7 +57,7 @@ def test_multi_block_grouping():
     study = studies[0]
     assert len(study.blocks) == 2
     assert [b.block_label for b in study.blocks] == ["basic models", "adjusted model"]
-    assert study.search_space() == 461440
+    assert study.search_space == 461440
 
 
 def test_missing_file_raises_oserror(tmp_path):
@@ -91,6 +93,52 @@ def test_missing_column_reported_at_line_one(tmp_path):
         ingest_effects(path)
     assert "short.csv:1:ci_low: required column is missing" in str(info.value)
     assert (1, "ci_low", "required column is missing") in info.value.diagnostics
+
+
+@pytest.mark.parametrize(
+    "reader, header, row, column",
+    [
+        (
+            ingest_effects,
+            "study_label,subgroup_label,odds_ratio,ci_low,ci_high,odds_ratio",
+            "A,,1.2,1.0,1.5,9",
+            "odds_ratio",
+        ),
+        (
+            ingest_effects,
+            "study_label,subgroup_label,odds_ratio,ci_low,ci_high,ci_level,ci_level",
+            "A,,1.2,1.0,1.5,0.95,0.9",
+            "ci_level",
+        ),
+        (
+            ingest_counts,
+            COUNT_HEADER.strip() + ",covariates",
+            "P1,Europe,models,1,1,2,3",
+            "covariates",
+        ),
+    ],
+)
+def test_duplicate_read_column_rejected_at_line_one(tmp_path, reader, header, row, column):
+    path = _write(tmp_path, "dup.csv", f"{header}\n{row}\n")
+    with pytest.raises(CsvFormatError) as info:
+        reader(path)
+    assert str(info.value) == f"dup.csv:1:{column}: duplicate column"
+
+
+def test_utf8_byte_order_mark_skipped(tmp_path):
+    path = tmp_path / "excel.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + (EFFECT_HEADER + "A 2001,,1.5,1.1,2.0,\n").encode())
+    effects = ingest_effects(path)
+    assert effects[0].study_label == "A 2001"
+    # The digest hashes the bytes as read, mark included.
+    assert effects.digest["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_non_utf8_line_counted_after_byte_order_mark(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + EFFECT_HEADER.encode() + b"A\xff,,1.5,1.1,2.0,\n")
+    with pytest.raises(InputFileError, match=r"^bad\.csv:2: not UTF-8 text"):
+        ingest_effects(path)
 
 
 def test_cell_diagnostics_carry_file_line_column(tmp_path):
@@ -167,9 +215,10 @@ def test_crlf_and_column_order_tolerated(tmp_path):
 
 
 def test_extra_columns_ignored(tmp_path):
+    # An unread column may even repeat; only the columns read must be unique.
     text = (
-        "study_label,subgroup_label,odds_ratio,ci_low,ci_high,ci_level,p_value\n"
-        "A 2001,,1.5,1.1,2.0,0.95,0.01\n"
+        "study_label,subgroup_label,odds_ratio,ci_low,ci_high,ci_level,p_value,note,note\n"
+        "A 2001,,1.5,1.1,2.0,0.95,0.01,x,y\n"
     )
     path = _write(tmp_path, "extra.csv", text)
     effects = ingest_effects(path)

@@ -12,7 +12,6 @@ from metaaudit import (
     canonical_json,
     classify_plot,
     conversion_rows,
-    file_digest,
     ingest_effects,
     plot_from_effects,
     pool_dersimonian_laird,
@@ -68,8 +67,8 @@ def test_serialization_is_deterministic():
 
 def test_file_digest_is_stable():
     path = fixture_path("region_pair.csv")
-    first = file_digest(path, 2)
-    second = file_digest(path, 2)
+    first = ingest_effects(path).digest
+    second = ingest_effects(path).digest
     assert first == second
     assert first["file"] == "region_pair.csv"
     assert first["rows"] == 2
@@ -97,7 +96,7 @@ def test_audit_report_structure():
         "dersimonian_laird": pool_dersimonian_laird(effects),
     }
     report = audit_report(
-        file_digest(fixture_path("asthma_effects.csv"), len(effects)),
+        effects.digest,
         effects,
         pooled,
         plot,

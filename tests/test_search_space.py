@@ -70,7 +70,7 @@ def test_multi_block_study_sums():
             CountBlock("adjusted model", 7, 1, 16),
         ),
     )
-    assert study.search_space() == 2688 + 458752 == 461440
+    assert study.search_space == 2688 + 458752 == 461440
 
 
 def test_study_validation():
@@ -88,6 +88,17 @@ def test_expected_false_positives_exact():
         expected_false_positives(100, 0.0)
     with pytest.raises(DomainError):
         expected_false_positives(100, 1.0)
+
+
+def test_expected_false_positives_takes_an_interpolated_median():
+    # A ledger with an even number of papers can have a median ending in .5.
+    assert expected_false_positives(6.5, 0.05) == 0.325
+
+
+@pytest.mark.parametrize("bad", [-1, float("nan"), float("inf"), True, "10"])
+def test_expected_false_positives_rejects_bad_space(bad):
+    with pytest.raises(DomainError):
+        expected_false_positives(bad, 0.05)
 
 
 def test_cohort_false_positives():
@@ -109,7 +120,7 @@ def test_quantile_interpolation():
     assert summary.maximum == 4
     assert summary.mean == 2.5
     # Python bankers rounding: round(2.5) is 2.
-    assert summary.mean_rounded() == 2
+    assert summary.mean_rounded == 2
 
 
 def test_single_study_summary():
@@ -134,7 +145,7 @@ def test_bundled_ledger_summary():
     assert summary.median == 15360.0
     assert summary.upper_quartile == 49152.0
     assert summary.maximum == 304128
-    assert summary.mean_rounded() == 49925
+    assert summary.mean_rounded == 49925
 
 
 def test_empty_ledger_raises():
