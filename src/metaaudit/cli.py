@@ -141,8 +141,17 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
+_COHORT_FLAGS = {"n_publications": "--publications", "median_space": "--median-nh"}
+
+
 def _cmd_cohort(args: argparse.Namespace) -> int:
-    value = cohort_false_positives(args.publications, args.median_nh, args.alpha)
+    try:
+        value = cohort_false_positives(args.publications, args.median_nh, args.alpha)
+    except AuditError as exc:
+        flag = _COHORT_FLAGS.get(exc.field)
+        if flag is None:
+            raise
+        raise ConfigError(f"{flag}: {exc}") from None
     payload = {
         "version": __version__,
         "publications": args.publications,

@@ -184,6 +184,7 @@ def ingest_counts(path: str | Path) -> Ingested:
     order: list[str] = []
     regions: dict[str, str] = {}
     blocks: dict[str, list[CountBlock]] = {}
+    last_line: dict[str, int] = {}
     for row, line in zip(rows, lines):
         label = row.get("paper_label", "")
         if not label:
@@ -215,10 +216,16 @@ def ingest_counts(path: str | Path) -> Ingested:
             )
             continue
         blocks[label].append(block)
+        last_line[label] = line
+    studies = []
+    for label in order:
+        try:
+            studies.append(
+                StudyCounts(paper_label=label, region=regions[label], blocks=tuple(blocks[label]))
+            )
+        except AuditError as exc:
+            # A paper-level failure (its sum over blocks) is located at its last row.
+            diagnostics.append((last_line[label], exc.field, str(exc)))
     if diagnostics:
         raise CsvFormatError(path.name, diagnostics)
-    studies = [
-        StudyCounts(paper_label=label, region=regions[label], blocks=tuple(blocks[label]))
-        for label in order
-    ]
     return Ingested(studies, path.name, data)

@@ -3,12 +3,14 @@
 A study that examines O outcomes and P predictors while choosing freely
 among C candidate covariates can form N = O * P * 2^C distinct analyses.
 Everything here is exact integer arithmetic; C is capped at 128 to keep the
-numbers auditable.
+numbers auditable. A block's N and a paper's sum over blocks must also stay
+within float range, because the ledger summary and alpha * N are floats.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -25,6 +27,11 @@ def _check_count(name: str, value: int, minimum: int) -> int:
     return value
 
 
+def _check_float_range(name: str, value: float, field: str | None) -> None:
+    if value > sys.float_info.max:
+        raise OverflowGuardError(f"{name} exceeds the float range (1.8e308)", field=field)
+
+
 def block_search_space(outcomes: int, predictors: int, covariates: int) -> int:
     """Exact O * P * 2^C for one model block."""
     _check_count("outcomes", outcomes, 1)
@@ -35,7 +42,11 @@ def block_search_space(outcomes: int, predictors: int, covariates: int) -> int:
             f"covariates = {covariates} exceeds the guarded maximum of {MAX_COVARIATES}",
             field="covariates",
         )
-    return outcomes * predictors * (1 << covariates)
+    space = outcomes * predictors * (1 << covariates)
+    # 2^C <= 2^128 fits a float, so an overflow is due to the larger of O and P.
+    larger = "outcomes" if outcomes >= predictors else "predictors"
+    _check_float_range("search space O * P * 2^C", space, larger)
+    return space
 
 
 @dataclass(frozen=True)
@@ -74,7 +85,11 @@ class StudyCounts:
             raise DomainError("paper_label must be a non-empty string")
         if not self.blocks:
             raise EmptyInputError(f"{self.paper_label}: a study needs at least one block")
-        object.__setattr__(self, "search_space", sum(b.search_space for b in self.blocks))
+        total = sum(b.search_space for b in self.blocks)
+        _check_float_range(
+            f"{self.paper_label}: search space summed over blocks", total, "paper_label"
+        )
+        object.__setattr__(self, "search_space", total)
 
 
 def expected_false_positives(n_space: float, alpha: float) -> float:
@@ -98,9 +113,13 @@ def cohort_false_positives(
     """
     _check_count("n_publications", n_publications, 1)
     _check_count("median_space", median_space, 0)
+    _check_float_range("n_publications", n_publications, "n_publications")
+    _check_float_range("median_space", median_space, "median_space")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be inside (0, 1), got {alpha!r}")
-    return alpha * n_publications * median_space
+    value = alpha * n_publications * median_space
+    _check_float_range("alpha * n_publications * median_space", value, None)
+    return value
 
 
 @dataclass(frozen=True)

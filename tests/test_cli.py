@@ -434,6 +434,45 @@ def test_pool_reads_a_pipe_once(tmp_path):
     assert digest["sha256"] == hashlib.sha256(source.read_bytes()).hexdigest()
 
 
+_LEDGER_HEADER = "paper_label,region,block_label,outcomes,predictors,covariates\n"
+
+
+@pytest.mark.parametrize(
+    "rows, located",
+    [
+        # One block whose O * P * 2^C is beyond float range.
+        (f"A,x,models,{10 ** 400},1,0\nB,x,models,3,1,0\n", "huge.csv:2:outcomes:"),
+        (f"A,x,models,3,1,0\nB,x,models,{10 ** 150},{10 ** 200},0\n", "huge.csv:3:predictors:"),
+        # Blocks within float range whose sum for one paper is not.
+        (f"A,x,m1,{10 ** 308},1,0\nB,x,m,3,1,0\nA,x,m2,{10 ** 308},1,0\n", "huge.csv:4:paper_label:"),
+    ],
+    ids=["block-outcomes", "block-predictors", "paper-sum"],
+)
+def test_count_search_space_beyond_float_range_exits_2(tmp_path, capsys, rows, located):
+    ledger = _write(tmp_path, "huge.csv", _LEDGER_HEADER + rows)
+    assert main(["count", ledger]) == 2
+    err = capsys.readouterr().err
+    assert located in err
+    assert "exceeds the float range" in err
+
+
+@pytest.mark.parametrize(
+    "publications, median_nh, named",
+    [
+        ("107", str(10 ** 400), "--median-nh"),
+        (str(10 ** 400), "13824", "--publications"),
+        (str(10 ** 200), str(10 ** 200), "alpha * n_publications * median_space"),
+    ],
+    ids=["median", "publications", "product"],
+)
+def test_cohort_beyond_float_range_exits_2(capsys, publications, median_nh, named):
+    argv = ["cohort", "--publications", publications, "--median-nh", median_nh]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}")
+    assert "exceeds the float range" in err
+
+
 def test_cohort_output(capsys):
     assert main(["cohort", "--publications", "107", "--median-nh", "13824"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -74,6 +74,36 @@ def test_cdf_deep_tail_relative_accuracy(z):
     assert std_normal_cdf(z) == pytest.approx(expected, rel=1e-12)
 
 
+def test_cdf_tail_relative_accuracy_on_grid():
+    # Relative error of Phi(-t) over the whole unsaturated range, including
+    # 4.5 <= t <= 5.5 where alpha / N thresholds for search spaces of 1e5
+    # to 1e6 analyses sit. A 1/64 step puts every grid point on an exact
+    # binary fraction, so mpmath sees the same t.
+    worst = 0.0
+    for i in range(int(37.5 * 64) + 1):
+        t = i / 64.0
+        expected = mpmath.ncdf(-t)
+        worst = max(worst, float(abs((std_normal_cdf(-t) - expected) / expected)))
+    assert worst <= 2e-15
+
+
+def _quantile_relative_error(p):
+    got = std_normal_quantile(p)
+    exact = mpmath.findroot(lambda z: mpmath.ncdf(z) - mpmath.mpf(p), got)
+    return float(abs((got - exact) / exact))
+
+
+def test_quantile_relative_accuracy_in_the_tail():
+    # p from 1e-300 to 0.01 at ten points per decade, then 0.02.
+    for p in [10.0 ** (e / 10.0) for e in range(-3000, -19, 10)] + [0.02]:
+        assert _quantile_relative_error(p) <= 8 * 2.0**-52, p
+
+
+@pytest.mark.parametrize("p", [0.9, 0.95, 0.975, 0.995, 0.1, 0.05, 0.025, 0.005])
+def test_quantile_relative_accuracy_at_interval_levels(p):
+    assert _quantile_relative_error(p) <= 8 * 2.0**-52
+
+
 def test_cdf_saturates_past_38():
     assert std_normal_cdf(38.0) == 1.0
     assert std_normal_cdf(-38.0) == 0.0

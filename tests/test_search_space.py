@@ -109,6 +109,29 @@ def test_cohort_false_positives():
         cohort_false_positives(0, 13824, 0.05)
 
 
+def test_search_space_beyond_float_range_is_guarded():
+    # The ledger summary and alpha * N are floats, so N must fit one.
+    assert block_search_space(10**308, 1, 0) == 10**308
+    with pytest.raises(OverflowGuardError) as raised:
+        block_search_space(10**400, 1, 0)
+    assert raised.value.field == "outcomes"
+    with pytest.raises(OverflowGuardError) as raised:
+        block_search_space(2, 10**308, 0)
+    assert raised.value.field == "predictors"
+    blocks = tuple(CountBlock(f"b{i}", 10**308, 1, 0) for i in range(2))
+    with pytest.raises(OverflowGuardError) as raised:
+        StudyCounts(paper_label="big", region="test", blocks=blocks)
+    assert raised.value.field == "paper_label"
+
+
+def test_cohort_beyond_float_range_is_guarded():
+    with pytest.raises(OverflowGuardError) as raised:
+        cohort_false_positives(107, 10**400, 0.05)
+    assert raised.value.field == "median_space"
+    with pytest.raises(OverflowGuardError):
+        cohort_false_positives(10**200, 10**200, 0.05)
+
+
 def test_quantile_interpolation():
     studies = [_single_block_study(f"s{i}", i) for i in (1, 2, 3, 4)]
     summary = summarize_ledger(studies)
