@@ -26,8 +26,9 @@ file:line when the line is known.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
+import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -44,13 +45,21 @@ COUNT_COLUMNS = (
     "predictors",
     "covariates",
 )
+# Cells echoed in error messages are cut to this many characters.
+_QUOTE_CHARS = 40
+# The integer literals int() accepts, signs and digit-group underscores included.
+_INTEGER = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
 class Ingested(list):
     """The records parsed from one file, in file order. digest is the
-    file's provenance: its name, the record count and the bytes' SHA-256."""
+    file's provenance: its name, the record count and the bytes' SHA-256.
+    hashlib is imported here, where it is used: loading it costs a process
+    a few milliseconds, and simulate and cohort never hash."""
 
     def __init__(self, records: list, name: str, data: bytes):
+        import hashlib
+
         super().__init__(records)
         sha256 = hashlib.sha256(data).hexdigest()
         self.digest = {"file": name, "rows": len(self), "sha256": sha256}
@@ -100,12 +109,20 @@ def _open_rows(
     return rows, lines, data
 
 
+def _quote(text: str) -> str:
+    """A cell for an error message: whole when short, else its first
+    _QUOTE_CHARS characters and its length."""
+    if len(text) <= _QUOTE_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTE_CHARS]!r}... ({len(text)} characters)"
+
+
 def _parse_float(row: dict[str, str], column: str) -> float:
     text = row.get(column, "")
     try:
         return float(text)
     except ValueError:
-        raise ValueError(f"{text!r} is not a number") from None
+        raise ValueError(f"{_quote(text)} is not a number") from None
 
 
 def _parse_int(row: dict[str, str], column: str) -> int:
@@ -113,7 +130,15 @@ def _parse_int(row: dict[str, str], column: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"{text!r} is not an integer") from None
+        # int() refuses a well-formed integer over the interpreter's digit
+        # limit (sys.get_int_max_str_digits()) before converting it.
+        if _INTEGER.fullmatch(text):
+            digits = sum(c.isdigit() for c in text)
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(
+                f"an integer of {digits} digits is too long to read (limit {limit})"
+            ) from None
+        raise ValueError(f"{_quote(text)} is not an integer") from None
 
 
 def ingest_effects(path: str | Path) -> Ingested:

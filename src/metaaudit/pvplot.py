@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate
 from typing import Sequence
 
 from .effects import ConversionMethod, EffectEstimate, p_from_effect
@@ -157,9 +156,8 @@ def build_plot(
             raise DomainError(f"{label}: p must be a finite number, got {p!r}")
         if not 0.0 <= p <= 1.0:
             raise DomainError(f"{label}: p = {p!r} is outside [0, 1]")
-    order = sorted(
-        range(len(pvalues)), key=lambda i: (pvalues[i][1], pvalues[i][0])
-    )
+    keys = [(p, label) for label, p in pvalues]
+    order = sorted(range(len(pvalues)), key=keys.__getitem__)
     points = tuple(
         PlotPoint(rank, pvalues[i][0], float(pvalues[i][1]), bool(negative[i]))
         for rank, i in enumerate(order, 1)
@@ -239,10 +237,17 @@ def _admissible_below_alpha(n: int, alpha: float, level: float) -> int:
 
 
 def _ols(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    """Least-squares (slope, intercept) of ys against consecutive ranks xs.
+
+    The ranks' mean and centred sum of squares are exact in closed form,
+    (x_1 + x_m) / 2 and m(m^2 - 1)/12, and equal to their fsum values bit
+    for bit: while m(m^2 - 1) < 2^53 (m up to 208,063), both are the one
+    rounding of the same exact number.
+    """
     n = len(xs)
-    xbar = math.fsum(xs) / n
+    xbar = (xs[0] + xs[-1]) / 2
     ybar = math.fsum(ys) / n
-    sxx = math.fsum((x - xbar) ** 2 for x in xs)
+    sxx = n * (n * n - 1) / 12.0
     sxy = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
     slope = sxy / sxx if sxx > 0.0 else 0.0
     return slope, ybar - slope * xbar
@@ -262,11 +267,12 @@ def _prefix_rss(ys: Sequence[float]) -> list[float]:
     centred sum of squared ranks, RSS = Syy - Sxy^2 / Sxx. A one-point
     prefix has Sxy = 0 exactly and RSS 0 up to rounding.
     """
-    sums = accumulate(ys)
-    rank_sums = accumulate(m * y for m, y in enumerate(ys, 1))
-    square_sums = accumulate(y * y for y in ys)
     out = []
-    for m, s0, s1, s2 in zip(range(1, len(ys) + 1), sums, rank_sums, square_sums):
+    s0 = s1 = s2 = 0.0
+    for m, y in enumerate(ys, 1):
+        s0 += y
+        s1 += m * y
+        s2 += y * y
         sxy = s1 - 0.5 * (m + 1) * s0
         sxx = m * (m * m - 1) / 12.0 or 1.0
         out.append(s2 - s0 * s0 / m - sxy * sxy / sxx)
@@ -275,14 +281,16 @@ def _prefix_rss(ys: Sequence[float]) -> list[float]:
 
 def _two_segment_fit(
     sorted_ps: Sequence[float], min_segment: int
-) -> tuple[int, float, float, float, float] | None:
+) -> tuple[int, float, float, float] | None:
     """Best split of sorted p against rank into two independent least-squares lines.
 
-    Returns (changepoint, total_rss, slope1, slope2, single_rss) where
-    changepoint is the rank of the last point in the first segment, or
-    None when no split leaves both segments at min_segment points. The
-    split minimizes the total RSS as _rss computes it, the first one on
-    ties. sorted_ps are p-values in [0, 1], so no square overflows.
+    Returns (changepoint, total_rss, slope1, slope2) where changepoint is
+    the rank of the last point in the first segment, or None when no split
+    leaves both segments at min_segment points. The split minimizes the
+    total RSS as _rss computes it, the first one on ties. sorted_ps are
+    p-values in [0, 1], so no square overflows. The single-line RSS that
+    the BILINEAR rule compares against is not computed here: classify_plot
+    fits it only when it reaches that rule.
 
     The fit runs in two passes, O(n) plus the cost of the confirmations:
 
@@ -316,7 +324,6 @@ def _two_segment_fit(
         return None
     xs = [float(i) for i in range(1, n + 1)]
     ys = [float(p) for p in sorted_ps]
-    single_rss, _ = _rss(xs, ys)
     head = _prefix_rss(ys)
     tail = _prefix_rss(ys[::-1])
     splits = range(min_segment, n - min_segment + 1)
@@ -332,8 +339,7 @@ def _two_segment_fit(
         total = rss1 + rss2
         if best is None or total < best[1]:
             best = (split, total, slope1, slope2)
-    split, total, slope1, slope2 = best
-    return split, total, slope1, slope2, single_rss
+    return best
 
 
 def classify_plot(
@@ -367,7 +373,8 @@ def classify_plot(
     if ks_p >= config.uniform_ks_threshold and below <= admissible:
         return PlotClassification(PlotVerdict.UNIFORM45, diagnostics)
     if fit is not None:
-        split, total, slope1, slope2, single_rss = fit
+        split, total, _, _ = fit
+        single_rss, _ = _rss([float(i) for i in range(1, n + 1)], ps)
         first_mean = math.fsum(ps[:split]) / split
         if (
             single_rss > 0.0

@@ -123,15 +123,15 @@ def simulate_trial(config: SimulationConfig, trial_index: int) -> tuple[float, .
     draw = pcg64_stream([config.seed, trial_index]).__next__
     low, high = config.se_range
     span = high - low
+    log_or = 0.0 if config.scenario is Scenario.NULL else config.log_or
+    mixture = config.scenario is Scenario.MIXTURE
+    fraction = config.effect_fraction
     ps = []
     for _ in range(config.k):
         se = low + span * uniform(draw)
-        true_log_or = 0.0
-        if config.scenario is Scenario.FIXED_EFFECT:
-            true_log_or = config.log_or
-        elif config.scenario is Scenario.MIXTURE:
-            if uniform(draw) < config.effect_fraction:
-                true_log_or = config.log_or
+        true_log_or = log_or
+        if mixture and uniform(draw) >= fraction:
+            true_log_or = 0.0
         z = std_normal_quantile(open_uniform(draw))
         estimate = true_log_or + se * z
         ps.append(two_sided_p(estimate / se))
@@ -149,10 +149,10 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
     plot_config = PlotConfig()
     counts: dict[str, int] = {v.value: 0 for v in PlotVerdict}
     diagnostics = []
+    labels = [f"study-{i:03d}" for i in range(1, config.k + 1)]
     for trial in range(config.trials):
         ps = simulate_trial(config, trial)
-        labeled = [(f"study-{i + 1:03d}", p) for i, p in enumerate(ps)]
-        classification = classify_plot(build_plot(labeled), plot_config)
+        classification = classify_plot(build_plot(list(zip(labels, ps))), plot_config)
         counts[classification.verdict.value] += 1
         diagnostics.append(classification.diagnostics)
     threshold = plot_config.uniform_ks_threshold

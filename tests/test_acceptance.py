@@ -8,6 +8,7 @@ search spaces and their summaries exact, the two-region combination within
 """
 
 import functools
+import hashlib
 import math
 import time
 
@@ -42,6 +43,7 @@ from metaaudit.reproduce import (
     reproduction_figures,
     run_reproduction,
 )
+from metaaudit.report import canonical_json
 from metaaudit.simulate import Scenario, SimulationConfig, run_simulation
 
 mpmath.mp.dps = 50
@@ -258,6 +260,14 @@ def test_acceptance_6_calibration():
     effect_fraction = effect_run.verdict_fraction(PlotVerdict.EFFECT_LINE)
     assert effect_fraction >= 0.95, f"effect EffectLine rate {effect_fraction:.3f}"
     assert time.perf_counter() - start < 30.0
+
+    # Both reports, bit for bit: the SHA-256 of their canonical JSON.
+    pins = {
+        "c72d64b6147626eec64d27232adb18c72f86fb894b85dff022d2e4723154365e": null_run,
+        "fd54379d9bf06095768fbfd6b04cc60a4ee18a4cc3e08ab786694ad6c9dd7996": effect_run,
+    }
+    for sha256, report in pins.items():
+        assert hashlib.sha256(canonical_json(report).encode("utf-8")).hexdigest() == sha256
 
 
 @criterion(7, "numerical core: round-trip 1e-10, CDF matches 50-digit oracle at 1e-12")

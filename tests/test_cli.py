@@ -213,6 +213,34 @@ def test_numpy_is_never_imported(tmp_path, code):
     assert result.stdout == "False\n"
 
 
+HASHLIB_ON_USE = """
+import sys
+before = "hashlib" in sys.modules
+from metaaudit.cli import main
+from metaaudit.ingest import ingest_effects
+assert main(["simulate", "--config", sys.argv[1], "--output", sys.argv[2]]) == 0
+print(("hashlib" in sys.modules) == before)
+digest = ingest_effects(sys.argv[3]).digest["sha256"]
+import hashlib
+with open(sys.argv[3], "rb") as handle:
+    print(digest == hashlib.sha256(handle.read()).hexdigest())
+"""
+
+
+def test_hashlib_is_loaded_only_to_hash(tmp_path):
+    config = _write(tmp_path, "sim.json", json.dumps(SIM_NULL))
+    report = tmp_path / "report.json"
+    table = fixture_path("asthma_effects.csv")
+    package_root = Path(metaaudit.__file__).parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", HASHLIB_ON_USE, config, str(report), str(table)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert (result.returncode, result.stdout) == (0, "True\nTrue\n"), result.stderr
+
+
 PACKAGE_CONTRACT = """
 import sys
 import metaaudit
@@ -454,6 +482,21 @@ def test_count_search_space_beyond_float_range_exits_2(tmp_path, capsys, rows, l
     err = capsys.readouterr().err
     assert located in err
     assert "exceeds the float range" in err
+
+
+def test_count_integer_beyond_the_digit_limit_exits_2(tmp_path, capsys):
+    digits = "9" * 5001
+    ledger = _write(
+        tmp_path,
+        "long.csv",
+        _LEDGER_HEADER + f"A,x,models,{digits},1,0\nB,x,models,3,x{digits},0\n",
+    )
+    assert main(["count", ledger]) == 2
+    err = capsys.readouterr().err
+    assert "long.csv:2:outcomes: an integer of 5001 digits is too long to read" in err
+    # A cell that is not an integer is echoed cut short, with its length.
+    assert f"long.csv:3:predictors: 'x{digits[:39]}'... (5002 characters) is not an integer" in err
+    assert len(err) < 300
 
 
 @pytest.mark.parametrize(

@@ -292,3 +292,12 @@ def test_convert_output_reingests(tmp_path):
     original = ingest_effects(source)
     round_tripped = ingest_effects(out)
     assert round_tripped == original
+
+
+def test_long_bad_cells_are_echoed_cut_short(tmp_path):
+    cell = "1.5x" + "7" * 200
+    path = _write(tmp_path, "long.csv", EFFECT_HEADER + f"A,,{cell},1.1,2.0,\n")
+    with pytest.raises(CsvFormatError) as info:
+        ingest_effects(path)
+    message = str(info.value)
+    assert message == f"long.csv:2:odds_ratio: {cell[:40]!r}... (204 characters) is not a number"

@@ -5,6 +5,7 @@ are exercised at their decision boundaries; rendering is held to golden
 files so any byte-level drift is caught.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from metaaudit import (
     plot_from_effects,
     render_plot,
 )
+from metaaudit import pvplot
 from metaaudit.pvplot import _rss, _two_segment_fit
 from metaaudit.reproduce import fixture_path, reproduction_figures
 from metaaudit.simulate import Scenario, SimulationConfig, simulate_trial
@@ -169,23 +171,47 @@ def test_classifier_counts_at_the_plot_alpha():
     assert classify_plot(plot).diagnostics.fraction_below_alpha == 0.0
 
 
+def _reference_rss(xs, ys):
+    """The original least-squares RSS: five fsum passes, no closed forms."""
+    n = len(xs)
+    xbar = math.fsum(xs) / n
+    ybar = math.fsum(ys) / n
+    sxx = math.fsum((x - xbar) ** 2 for x in xs)
+    sxy = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+    slope = sxy / sxx if sxx > 0.0 else 0.0
+    intercept = ybar - slope * xbar
+    rss = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    return rss, slope
+
+
 def _reference_two_segment_fit(sorted_ps, min_segment):
-    """Brute force: refit every split with _rss, keep the first minimum."""
+    """Brute force with _reference_rss: refit every split, keep the first minimum.
+
+    Returns the fit, or None, and the single-line RSS over all points.
+    """
     n = len(sorted_ps)
-    if n < 2 * min_segment:
-        return None
     xs = [float(i) for i in range(1, n + 1)]
     ys = [float(p) for p in sorted_ps]
-    single_rss, _ = _rss(xs, ys)
+    single_rss = _reference_rss(xs, ys)[0] if ys else None
+    if n < 2 * min_segment:
+        return None, single_rss
     best = None
     for split in range(min_segment, n - min_segment + 1):
-        rss1, slope1 = _rss(xs[:split], ys[:split])
-        rss2, slope2 = _rss(xs[split:], ys[split:])
+        rss1, slope1 = _reference_rss(xs[:split], ys[:split])
+        rss2, slope2 = _reference_rss(xs[split:], ys[split:])
         total = rss1 + rss2
         if best is None or total < best[1]:
             best = (split, total, slope1, slope2)
-    split, total, slope1, slope2 = best
-    return split, total, slope1, slope2, single_rss
+    return best, single_rss
+
+
+def _assert_fit_matches_reference(ps, min_segment):
+    fit, single_rss = _reference_two_segment_fit(ps, min_segment)
+    assert _two_segment_fit(ps, min_segment) == fit
+    if ps:
+        # The single-line RSS as classify_plot's BILINEAR rule computes it.
+        ranks = [float(i) for i in range(1, len(ps) + 1)]
+        assert _rss(ranks, [float(p) for p in ps])[0] == single_rss
 
 
 def _trial_inputs():
@@ -215,7 +241,7 @@ def _edge_inputs(min_segment):
 def test_two_segment_fit_equals_brute_force(min_segment):
     inputs = [*_trial_inputs(), *_edge_inputs(min_segment)]
     for ps in inputs:
-        assert _two_segment_fit(ps, min_segment) == _reference_two_segment_fit(ps, min_segment)
+        _assert_fit_matches_reference(ps, min_segment)
 
 
 @given(
@@ -223,7 +249,48 @@ def test_two_segment_fit_equals_brute_force(min_segment):
     st.integers(min_value=2, max_value=5),
 )
 def test_two_segment_fit_equals_brute_force_on_any_plot(ps, min_segment):
-    assert _two_segment_fit(ps, min_segment) == _reference_two_segment_fit(ps, min_segment)
+    _assert_fit_matches_reference(ps, min_segment)
+
+
+@pytest.mark.parametrize("offset", [1, 5, 17, 200])
+def test_closed_form_rank_moments_equal_fsum(offset):
+    # _ols takes the mean and centred sum of squares of consecutive ranks
+    # in closed form; both must equal the fsum passes they replace.
+    for m in range(1, 2001):
+        xs = [float(x) for x in range(offset, offset + m)]
+        xbar = math.fsum(xs) / m
+        assert (xs[0] + xs[-1]) / 2 == xbar
+        assert m * (m * m - 1) / 12.0 == math.fsum([(x - xbar) ** 2 for x in xs])
+
+
+def _spy_rss(monkeypatch):
+    calls = []
+
+    def spy(xs, ys):
+        result = _rss(xs, ys)
+        calls.append((len(xs), result))
+        return result
+
+    monkeypatch.setattr(pvplot, "_rss", spy)
+    return calls
+
+
+def test_bilinear_rule_reads_the_reference_single_line_rss(monkeypatch):
+    ps = [0.001 * i for i in range(1, 9)] + list(np.linspace(0.10, 0.95, 19))
+    plot = build_plot(_labeled(ps))
+    calls = _spy_rss(monkeypatch)
+    assert classify_plot(plot).verdict is PlotVerdict.BILINEAR
+    _, single_rss = _reference_two_segment_fit(sorted(ps), 3)
+    assert [rss for n, (rss, _) in calls if n == plot.n] == [single_rss]
+
+
+def test_single_line_rss_is_fitted_only_at_the_bilinear_rule(monkeypatch):
+    plot = build_plot(_labeled(list(np.linspace(0.02, 0.98, 27))))
+    calls = _spy_rss(monkeypatch)
+    classification = classify_plot(plot)
+    assert classification.verdict is PlotVerdict.UNIFORM45
+    assert classification.diagnostics.changepoint_index is not None
+    assert calls and all(n < plot.n for n, _ in calls)
 
 
 def test_plot_config_validation():
