@@ -47,6 +47,11 @@ _HEIGHT = 480
 _MARGIN = 64
 _POINT_RADIUS = 4.0
 
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+# ks_pvalue switches from the alternating series to the theta-function form
+# below this x, as scipy.special.kolmogorov does.
+_KS_THETA_BELOW = 0.82
+
 
 class PlotVerdict(Enum):
     UNIFORM45 = "uniform45"
@@ -196,20 +201,30 @@ def ks_statistic(pvalues: Sequence[float]) -> float:
 def ks_pvalue(statistic: float, n: int) -> float:
     """Asymptotic Kolmogorov p-value P(D > statistic) for sample size n.
 
-    Evaluates the Kolmogorov series Q(x) = 2 * sum_j (-1)^(j-1) e^(-2 j^2 x^2)
-    at x = sqrt(n) * statistic. Alternating terms bound the truncation
-    error by the first omitted term.
+    Evaluates Q(x) = P(K > x) at x = sqrt(n) * statistic in the two forms
+    scipy.special.kolmogorov uses, split where both converge fast:
+
+    * x >= 0.82: the series Q(x) = 2 * sum_j (-1)^(j-1) e^(-2 j^2 x^2).
+      Alternating terms bound the truncation error by the first omitted
+      term, and it stops after at most 7 terms;
+    * x < 0.82, where that series needs ever more terms: the theta-function
+      form Q(x) = 1 - sqrt(2 pi) / x * sum_j w^((2j-1)^2), w = e^(-pi^2 /
+      (8 x^2)) <= 0.16. The terms after w^25 are below 1e-38, and Q
+      rounds to 1.0 once w underflows.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n!r}")
     if not 0.0 <= statistic <= 1.0:
         raise DomainError(f"KS statistic must be in [0, 1], got {statistic!r}")
     x = math.sqrt(n) * statistic
-    if x == 0.0:
-        return 1.0
+    if x < _KS_THETA_BELOW:
+        if x == 0.0:
+            return 1.0
+        w = math.exp(-math.pi * math.pi / (8.0 * x * x))
+        return 1.0 - _SQRT_2PI / x * (w + w**9 + w**25)
     total = 0.0
     sign = 1.0
-    for j in range(1, 1001):
+    for j in range(1, 8):
         term = sign * math.exp(-2.0 * (j * x) * (j * x))
         total += term
         if abs(term) < 1e-16:
@@ -220,20 +235,47 @@ def ks_pvalue(statistic: float, n: int) -> float:
 
 @lru_cache(maxsize=256)
 def _admissible_below_alpha(n: int, alpha: float, level: float) -> int:
-    """Largest count c with P(Binomial(n, alpha) > c) >= level.
+    """Smallest count c with P(Binomial(n, alpha) > c) < level.
 
     A below-alpha count up to c is consistent with uniformity at the given
-    test level; larger counts reject it.
+    test level; larger counts reject it. At n = 27 and alpha = level =
+    0.05 that is c = 3, with P(X > 3) = 0.0437.
+
+    The probabilities are taken relative to the mode's, r_j = P(X = j) /
+    P(X = mode), by the ratio recursion outward from the mode; each side
+    stops once its terms fall below level * 2^-80, too small to move a
+    comparison with level. Every r_j lies in (0, 1] up to rounding, so
+    nothing underflows before it is negligible, whatever n: a start from
+    P(X = 0) = (1 - alpha)^n would underflow beyond n = 14,500 at
+    alpha = 0.05. The upper tails are summed from the smallest term up and
+    compared with level times the total.
     """
-    pmf = (1.0 - alpha) ** n
-    tail = 1.0
     ratio = alpha / (1.0 - alpha)
-    for c in range(n + 1):
-        tail -= pmf
-        if tail < level:
-            return c
-        pmf *= ratio * (n - c) / (c + 1)
-    return n
+    mode = min(n, math.floor((n + 1) * alpha))
+    cutoff = level * 2.0**-80
+    below = []
+    r, j = 1.0, mode
+    while j > 0 and r >= cutoff:
+        r *= j / ((n - j + 1) * ratio)
+        below.append(r)
+        j -= 1
+    above = []
+    r, j = 1.0, mode
+    while j < n and r >= cutoff:
+        r *= ratio * (n - j) / (j + 1)
+        above.append(r)
+        j += 1
+    # r_j from the highest j kept down to the lowest.
+    weights = above[::-1] + [1.0] + below
+    bound = level * math.fsum(weights)
+    c = mode + len(above)
+    tail = 0.0  # P(X > c) times the total
+    for weight in weights:
+        if tail >= bound:
+            return c + 1
+        tail += weight
+        c -= 1
+    return c + 1
 
 
 def _ols(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:

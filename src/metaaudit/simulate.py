@@ -13,9 +13,19 @@ Determinism contract: trial t of a run seeded with s uses the PCG64 stream
 seeded by SeedSequence([s, t]), so trials are independent of each other and
 of how many trials run. Per study the draw order is fixed: (1) a uniform
 for the standard error, (2) for MIXTURE only, a uniform for the effect
-indicator, (3) a 53-bit uniform u in (0, 1) mapped through the package's
-own normal quantile to give the z draw. Reports are therefore reproducible
-bit for bit from (config, seed).
+indicator, (3) a 53-bit uniform u in (0, 1). Step 3 splits by the study's
+true log odds ratio:
+
+* a null study (true log OR 0) takes p = 2 min(u, 1 - u), the exact
+  two-sided p-value of z = Phi^-1(u), without evaluating the quantile or
+  the CDF. u is m / 2^53 for an integer m, so 1 - u and the doubling are
+  exact and p lies in [2^-52, 1]; its standard error is drawn and unused;
+* an effect study maps u through the package's own normal quantile to
+  the z draw and takes the two-sided p-value of (log_or + se * z) / se.
+
+Every study makes the same draws in the same order whichever branch it
+takes, so the stream does not depend on the split. Reports are therefore
+reproducible bit for bit from (config, seed).
 
 The stream is numpy's PCG64/SeedSequence algorithm implemented locally
 (metaaudit.pcg64), and each draw maps raw 64-bit outputs as numpy's
@@ -132,9 +142,12 @@ def simulate_trial(config: SimulationConfig, trial_index: int) -> tuple[float, .
         true_log_or = log_or
         if mixture and uniform(draw) >= fraction:
             true_log_or = 0.0
-        z = std_normal_quantile(open_uniform(draw))
-        estimate = true_log_or + se * z
-        ps.append(two_sided_p(estimate / se))
+        u = open_uniform(draw)
+        if true_log_or == 0.0:
+            ps.append(2.0 * (u if u < 0.5 else 1.0 - u))
+        else:
+            z = std_normal_quantile(u)
+            ps.append(two_sided_p((true_log_or + se * z) / se))
     return tuple(ps)
 
 

@@ -47,11 +47,13 @@ def test_mapped_draws_match_generator(seed, trial):
         assert open_uniform(draw) == int(rng.integers(1, 2**53)) / 2**53
 
 
-def _numpy_trial(config, trial):
-    """simulate_trial's draw order, drawn from numpy's Generator."""
+def _numpy_studies(config, trial):
+    """simulate_trial's draw order, drawn from numpy's Generator.
+
+    Yields (true log OR, se, u) per study.
+    """
     rng = _numpy_generator(config.seed, trial)
     low, high = config.se_range
-    ps = []
     for _ in range(config.k):
         se = low + (high - low) * float(rng.random())
         true_log_or = 0.0
@@ -59,8 +61,19 @@ def _numpy_trial(config, trial):
             true_log_or = config.log_or
         elif config.scenario is Scenario.MIXTURE and float(rng.random()) < config.effect_fraction:
             true_log_or = config.log_or
-        z = std_normal_quantile(int(rng.integers(1, 2**53)) / 2**53)
-        ps.append(two_sided_p((true_log_or + se * z) / se))
+        yield true_log_or, se, int(rng.integers(1, 2**53)) / 2**53
+
+
+def _numpy_trial(config, trial):
+    """simulate_trial's p-values from numpy's draws: a null study takes
+    2 min(u, 1 - u), an effect study the p of (log OR + se * z) / se."""
+    ps = []
+    for true_log_or, se, u in _numpy_studies(config, trial):
+        if true_log_or == 0.0:
+            ps.append(2.0 * min(u, 1.0 - u))
+        else:
+            z = std_normal_quantile(u)
+            ps.append(two_sided_p((true_log_or + se * z) / se))
     return tuple(ps)
 
 
@@ -77,6 +90,27 @@ def test_trials_match_numpy_draws(scenario, kwargs, seed):
     config = SimulationConfig(scenario=scenario, k=50, trials=1, seed=seed, **kwargs)
     for trial in (0, 7, 10**6):
         assert simulate_trial(config, trial) == _numpy_trial(config, trial)
+
+
+@pytest.mark.parametrize(
+    "scenario, kwargs",
+    [
+        (Scenario.NULL, {}),
+        (Scenario.FIXED_EFFECT, {"log_or": 0.0}),
+        (Scenario.MIXTURE, {"log_or": 0.5, "effect_fraction": 0.3}),
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 404, 2**129 + 3])
+def test_null_studies_take_twice_the_smaller_tail_of_u(scenario, kwargs, seed):
+    config = SimulationConfig(scenario=scenario, k=50, trials=1, seed=seed, **kwargs)
+    nulls = 0
+    for trial in (0, 7, 10**6):
+        studies = list(_numpy_studies(config, trial))
+        for (true_log_or, _, u), p in zip(studies, simulate_trial(config, trial), strict=True):
+            if true_log_or == 0.0:
+                assert p == 2.0 * min(u, 1.0 - u)
+                nulls += 1
+    assert nulls > 50
 
 
 def _raw_with_leftover(leftover):

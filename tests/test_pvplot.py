@@ -6,8 +6,10 @@ files so any byte-level drift is caught.
 """
 
 import math
+import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -89,12 +91,89 @@ def test_ks_statistic_matches_scipy():
         assert ks_statistic(list(ps)) == pytest.approx(expected, abs=1e-12)
 
 
+def _kolmogorov_mp(x):
+    """Q(x) = P(K > x) at 40 digits: the theta form below 1, the
+    alternating series above, each carried until its terms vanish."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        if x < 1:
+            w = mpmath.exp(-mpmath.pi**2 / (8 * x * x))
+            theta = mpmath.fsum(w ** ((2 * j - 1) ** 2) for j in range(1, 8))
+            return float(1 - mpmath.sqrt(2 * mpmath.pi) / x * theta)
+        return float(2 * mpmath.fsum(
+            (-1) ** (j - 1) * mpmath.exp(-2 * j * j * x * x) for j in range(1, 30)
+        ))
+
+
 def test_ks_pvalue_matches_scipy_kolmogorov():
     for n in (10, 27, 80):
         for d in (0.05, 0.1, 0.2, 0.35, 0.6):
             expected = scipy.special.kolmogorov(np.sqrt(n) * d)
-            assert ks_pvalue(d, n) == pytest.approx(expected, abs=1e-12)
+            assert ks_pvalue(d, n) == pytest.approx(expected, abs=1e-15)
     assert ks_pvalue(0.0, 12) == 1.0
+    # The whole range the small-k plots reach, including the small x where
+    # a truncated alternating series once returned 0.865 at x = 0.001.
+    n = 27
+    for x in np.concatenate([np.geomspace(1e-4, 3.0, 1200), np.linspace(0.7, 0.95, 251)]):
+        d = float(x) / math.sqrt(n)
+        got = ks_pvalue(d, n)
+        x = math.sqrt(n) * d
+        assert got == pytest.approx(_kolmogorov_mp(x), abs=1e-15), x
+        # scipy sums four terms of the alternating series from x = 0.82 on,
+        # which leaves up to 5.4e-15 out just above the switch (measured
+        # against mpmath: over 1e-15 for 0.82 <= x < 0.8401).
+        if not 0.82 <= x < 0.845:
+            assert got == pytest.approx(scipy.special.kolmogorov(x), abs=1e-15), x
+    assert ks_pvalue(0.001, 1) == 1.0
+    assert ks_pvalue(0.0005, 1) == 1.0
+
+
+def _reference_admissible_below_alpha(n, alpha, level):
+    """The former recursion from P(X = 0) = (1 - alpha)^n, right while that
+    start is a normal float."""
+    pmf = (1.0 - alpha) ** n
+    tail = 1.0
+    ratio = alpha / (1.0 - alpha)
+    for c in range(n + 1):
+        tail -= pmf
+        if tail < level:
+            return c
+        pmf *= ratio * (n - c) / (c + 1)
+    return n
+
+
+def _sample_ns(top):
+    """Every n below 300, then 300 n spread evenly on a log scale up to top."""
+    spread = np.unique(np.geomspace(300, top, 300).astype(int))
+    return list(range(1, 300)) + [int(n) for n in spread]
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
+def test_admissible_below_alpha_equals_the_former_recursion(alpha):
+    for n in _sample_ns(10_000):
+        if (1.0 - alpha) ** n < sys.float_info.min:
+            break
+        assert pvplot._admissible_below_alpha(n, alpha, 0.05) == \
+            _reference_admissible_below_alpha(n, alpha, 0.05), n
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1, 0.5])
+@pytest.mark.parametrize("level", [1e-6, 0.01, 0.05, 0.5])
+def test_admissible_below_alpha_matches_scipy(alpha, level):
+    # The smallest c with P(X > c) < level, up to n = 10^5, far past the
+    # n = 14,500 where (1 - alpha)^n underflows at alpha = 0.05. P(X > c)
+    # = 0.5 exactly at alpha = level = 0.5 and odd n, a tie no rounding
+    # can settle, so those n are left out.
+    ns = np.array([n for n in _sample_ns(100_000) if alpha != 0.5 or level != 0.5 or n % 2 == 0])
+    cs = np.array([pvplot._admissible_below_alpha(int(n), alpha, level) for n in ns])
+    assert np.all(scipy.stats.binom.sf(cs, ns, alpha) < level)
+    assert np.all((cs == 0) | (scipy.stats.binom.sf(cs - 1, ns, alpha) >= level))
+
+
+def test_admissible_below_alpha_at_large_n():
+    # (1 - 0.05)^14600 underflows to 0; the count rule must not switch off.
+    assert pvplot._admissible_below_alpha(27, 0.05, 0.05) == 3
+    assert pvplot._admissible_below_alpha(14_600, 0.05, 0.05) == 774
 
 
 def test_ks_statistic_empty_raises():

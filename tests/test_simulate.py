@@ -11,7 +11,8 @@ import math
 import pytest
 import scipy.stats
 
-from metaaudit import ConfigError, PlotVerdict
+from metaaudit import ConfigError, PlotVerdict, simulate
+from metaaudit.pvplot import PlotConfig, build_plot, classify_plot
 from metaaudit.report import canonical_json
 from metaaudit.simulate import (
     Scenario,
@@ -54,14 +55,74 @@ def test_first_trial_frozen():
     # Pins the draw-order contract on top of the PCG64 stream, bit for bit.
     config = _null(k=5, trials=1, seed=1)
     expected = (
-        0.09907260734812925,
-        0.10270110572551212,
+        0.0990726073481294,
+        0.10270110572551205,
         0.8466528979451513,
         0.8183982727383226,
-        0.055118226486136936,
+        0.055118226486136956,
     )
     got = simulate_trial(config, 0)
     assert got == expected
+    # Every study is null, so its p is exactly 2 min(u, 1 - u) of its open
+    # uniform u = m / 2^53, drawn after the SE uniform.
+    ms = (8561015897205333, 8544674593265038, 3812985675697934, 3685738156144967, 248230424264289)
+    assert got == tuple(2.0 * min(u, 1.0 - u) for u in (m / 2**53 for m in ms))
+
+
+def test_null_studies_skip_the_normal_quantile_and_cdf(monkeypatch):
+    def forbidden(value):
+        raise AssertionError(f"normal function called on {value!r}")
+
+    monkeypatch.setattr(simulate, "std_normal_quantile", forbidden)
+    monkeypatch.setattr(simulate, "two_sided_p", forbidden)
+    zero = SimulationConfig(
+        scenario=Scenario.FIXED_EFFECT, k=27, trials=3, seed=2027, log_or=0.0
+    )
+    for config in (_null(trials=3), zero):
+        assert sum(run_simulation(config).verdict_counts.values()) == 3
+    effect = SimulationConfig(
+        scenario=Scenario.FIXED_EFFECT, k=27, trials=1, seed=2027, log_or=0.5
+    )
+    with pytest.raises(AssertionError, match="normal function called"):
+        simulate_trial(effect, 0)
+
+
+@pytest.mark.parametrize(
+    "config, sha256",
+    [
+        (
+            _null(k=27, trials=100, seed=2027),
+            "6f7fe7b740d8eb62eb8e9e3e42b4f0510149930b811d1022d044fba2e3b1946d",
+        ),
+        (
+            SimulationConfig(
+                scenario=Scenario.MIXTURE, k=200, trials=10, seed=2027,
+                log_or=0.5, effect_fraction=0.3,
+            ),
+            "aad47ef7421e114df87dc293e69a1dc2800d5bf5f235d2cb08e9bfc1b930e83a",
+        ),
+        (
+            SimulationConfig(
+                scenario=Scenario.FIXED_EFFECT, k=13, trials=100, seed=2027, log_or=0.5
+            ),
+            "03b5bae04874b4b59b7670c7d3e68ce1623af2e551dcd543277b97c11369d168",
+        ),
+    ],
+    ids=["null_k27", "mixture_k200", "fixed_effect_k13"],
+)
+def test_trial_bits_pinned(config, sha256):
+    # The report pins keep 6 significant digits; this one hashes the repr
+    # of every trial's p-values and diagnostics, so a change in the last bit
+    # of any draw, KS figure or fitted slope fails it.
+    plot_config = PlotConfig()
+    labels = [f"study-{i:03d}" for i in range(1, config.k + 1)]
+    digest = hashlib.sha256()
+    for trial in range(config.trials):
+        ps = simulate_trial(config, trial)
+        classification = classify_plot(build_plot(list(zip(labels, ps))), plot_config)
+        digest.update(repr(ps).encode("utf-8"))
+        digest.update(repr(classification.diagnostics).encode("utf-8"))
+    assert digest.hexdigest() == sha256
 
 
 @pytest.mark.parametrize(
