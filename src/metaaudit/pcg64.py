@@ -4,7 +4,8 @@ pcg64_stream(entropy) yields the raw 64-bit outputs of
 numpy.random.PCG64(numpy.random.SeedSequence(entropy)) bit for bit, and
 uniform and open_uniform map them as numpy's Generator.random() and
 Generator.integers(1, 2**53) / 2**53 do, so seeded draws do not depend on
-numpy being installed.
+numpy being installed. skip_open_uniforms gives the open uniforms of a
+stream that skips one output before each, without forming the skipped ones.
 
 The generator is PCG64 XSL-RR: a 128-bit linear congruential generator
 whose state is permuted into each 64-bit output (O'Neill 2014, "PCG: A
@@ -18,6 +19,7 @@ draws.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 _MASK32 = 0xFFFFFFFF
@@ -43,63 +45,90 @@ _OPEN_SPAN = (1 << 53) - 1
 _OPEN_REDRAW_BELOW = ((1 << 64) - (1 << 53) + 1) % _OPEN_SPAN
 
 
-def _words32(value: int) -> list[int]:
-    """The little-endian 32-bit words of a non-negative integer; [0] for 0."""
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
+@lru_cache(maxsize=16)
+def _hash_plan(n_words: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """SeedSequence's (xor, mult) hash constants for n_words entropy words.
+
+    Each hashmix XORs with the running constant and multiplies by the next,
+    so its pair depends only on its place. Returns the pool words' pairs,
+    the (source, destination, xor, mult) of every mix, and the output
+    words' pairs.
+    """
+    # Each pool word into every other one, then each later word into all four.
+    mixes = [(src, dst) for src in range(n_words) for dst in range(_POOL_SIZE) if src != dst]
+    consts_a, consts_b = [_INIT_A], [_INIT_B]
+    while len(consts_a) <= _POOL_SIZE + len(mixes):
+        consts_a.append(consts_a[-1] * _MULT_A & _MASK32)
+    while len(consts_b) <= 2 * _POOL_SIZE:
+        consts_b.append(consts_b[-1] * _MULT_B & _MASK32)
+    pairs_a = tuple(zip(consts_a, consts_a[1:]))
+    mixes = tuple(mix + pair for mix, pair in zip(mixes, pairs_a[_POOL_SIZE:]))
+    return pairs_a[:_POOL_SIZE], mixes, tuple(zip(consts_b, consts_b[1:]))
 
 
 def seed_sequence_state(entropy: Sequence[int]) -> tuple[int, int, int, int]:
     """SeedSequence(entropy).generate_state(4, uint64) as Python ints."""
-    words = [word for value in entropy for word in _words32(value)]
-    hash_const = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = (value * hash_const) & _MASK32
-        return value ^ (value >> 16)
-
-    def mix(x: int, y: int) -> int:
-        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return result ^ (result >> 16)
-
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL_SIZE)]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for word in words[_POOL_SIZE:]:
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = mix(pool[i_dst], hashmix(word))
-
-    hash_const = _INIT_B
+    # The little-endian 32-bit words of each value, [0] for 0.
+    words = [value >> shift & _MASK32 for value in entropy
+             for shift in range(0, max(value.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    pool_hashes, mixes, out_hashes = _hash_plan(len(words))
+    # The pool, then the words beyond it, which only ever act as sources.
+    cells = []
+    for word, (xor, mult) in zip(words, pool_hashes):
+        value = (word ^ xor) * mult & _MASK32
+        cells.append(value ^ value >> 16)
+    cells += words[_POOL_SIZE:]
+    for src, dst, xor, mult in mixes:
+        value = (cells[src] ^ xor) * mult & _MASK32
+        mixed = (_MIX_MULT_L * cells[dst] - _MIX_MULT_R * (value ^ value >> 16)) & _MASK32
+        cells[dst] = mixed ^ mixed >> 16
     out = []
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ hash_const
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = (value * hash_const) & _MASK32
-        out.append(value ^ (value >> 16))
+    for i, (xor, mult) in enumerate(out_hashes):
+        value = (cells[i % _POOL_SIZE] ^ xor) * mult & _MASK32
+        out.append(value ^ value >> 16)
     return tuple(out[i] | out[i + 1] << 32 for i in range(0, len(out), 2))
 
 
-def pcg64_stream(entropy: Sequence[int]) -> Iterator[int]:
-    """The raw 64-bit outputs of PCG64(SeedSequence(entropy)), endlessly."""
+def _seeded(entropy: Sequence[int]) -> tuple[int, int]:
+    """PCG64's 128-bit (state, increment) before its first output."""
     s_high, s_low, i_high, i_low = seed_sequence_state(entropy)
     inc = (((i_high << 64 | i_low) << 1) | 1) & _MASK128
     # pcg64_srandom_r: step from 0, add the initial state, step again.
     state = (inc + (s_high << 64 | s_low)) & _MASK128
-    state = (state * _PCG_MULT + inc) & _MASK128
+    return (state * _PCG_MULT + inc) & _MASK128, inc
+
+
+def pcg64_stream(entropy: Sequence[int]) -> Iterator[int]:
+    """The raw 64-bit outputs of PCG64(SeedSequence(entropy)), endlessly."""
+    state, inc = _seeded(entropy)
     while True:
         state = (state * _PCG_MULT + inc) & _MASK128
         rot = state >> 122
         x = ((state >> 64) ^ state) & _MASK64
         yield ((x >> rot) | (x << (64 - rot))) & _MASK64
+
+
+def skip_open_uniforms(entropy: Sequence[int], count: int) -> list[float]:
+    """count rounds of draw(); open_uniform(draw) on pcg64_stream(entropy).__next__.
+
+    The skipped outputs are never formed: one step by M^2 and (M + 1) * inc
+    moves the LCG past each of them.
+    """
+    state, inc = _seeded(entropy)
+    skip_mult, skip_inc = _PCG_MULT * _PCG_MULT & _MASK128, (_PCG_MULT + 1) * inc & _MASK128
+    out = []
+    for _ in range(count):
+        state = (state * skip_mult + skip_inc) & _MASK128
+        while True:
+            rot = state >> 122
+            x = ((state >> 64) ^ state) & _MASK64
+            scaled = (((x >> rot) | (x << (64 - rot))) & _MASK64) * _OPEN_SPAN
+            if scaled & _MASK64 >= _OPEN_REDRAW_BELOW:
+                break
+            state = (state * _PCG_MULT + inc) & _MASK128
+        out.append(((scaled >> 64) + 1) / _U53)
+    return out
 
 
 def uniform(draw: Callable[[], int]) -> float:

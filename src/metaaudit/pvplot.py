@@ -36,6 +36,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import add, mul, sub
 from typing import Sequence
 
 from .effects import ConversionMethod, EffectEstimate, p_from_effect
@@ -116,6 +118,16 @@ class PValuePlot:
 
 @dataclass(frozen=True)
 class PlotDiagnostics:
+    """The statistics classify_plot computed, whichever rule fired.
+
+    ks_statistic is the KS distance D from Uniform(0, 1) and ks_p its
+    asymptotic p-value. fraction_below_alpha is the share of p-values below
+    the plot's alpha. changepoint_index is the rank of the last point in the
+    two-segment fit's first segment and segment_slopes the two fitted
+    slopes; both are None when fewer than 2 * bilinear_min_segment points
+    leave no split.
+    """
+
     ks_statistic: float
     ks_p: float
     fraction_below_alpha: float
@@ -125,6 +137,8 @@ class PlotDiagnostics:
 
 @dataclass(frozen=True)
 class PlotClassification:
+    """A plot's verdict, from the first rule that fired, with its diagnostics."""
+
     verdict: PlotVerdict
     diagnostics: PlotDiagnostics
 
@@ -182,6 +196,12 @@ def plot_from_effects(
     return build_plot(pairs, alpha=alpha, negative=flags)
 
 
+@lru_cache(maxsize=64)
+def _ks_steps(n: int) -> tuple[float, ...]:
+    """The empirical CDF's steps i/n for i = 0..n."""
+    return tuple(i / n for i in range(n + 1))
+
+
 def ks_statistic(pvalues: Sequence[float]) -> float:
     """One-sample KS distance of pvalues from Uniform(0, 1).
 
@@ -191,11 +211,8 @@ def ks_statistic(pvalues: Sequence[float]) -> float:
     if not pvalues:
         raise EmptyInputError("KS statistic needs at least one value")
     ordered = sorted(pvalues)
-    n = len(ordered)
-    d = 0.0
-    for i, p in enumerate(ordered, 1):
-        d = max(d, i / n - p, p - (i - 1) / n)
-    return d
+    steps = _ks_steps(len(ordered))
+    return max(max(map(sub, steps[1:], ordered)), max(map(sub, ordered, steps)))
 
 
 def ks_pvalue(statistic: float, n: int) -> float:
@@ -278,47 +295,33 @@ def _admissible_below_alpha(n: int, alpha: float, level: float) -> int:
     return c + 1
 
 
-def _ols(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
-    """Least-squares (slope, intercept) of ys against consecutive ranks xs.
+def _rss(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    """(RSS, slope) of the least-squares line of ys against consecutive ranks xs.
 
     The ranks' mean and centred sum of squares are exact in closed form,
     (x_1 + x_m) / 2 and m(m^2 - 1)/12, and equal to their fsum values bit
     for bit: while m(m^2 - 1) < 2^53 (m up to 208,063), both are the one
-    rounding of the same exact number.
+    rounding of the same exact number. Each residual is squared with **.
     """
     n = len(xs)
     xbar = (xs[0] + xs[-1]) / 2
     ybar = math.fsum(ys) / n
     sxx = n * (n * n - 1) / 12.0
-    sxy = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+    sxy = math.fsum(map(mul, map(sub, xs, repeat(xbar)), map(sub, ys, repeat(ybar))))
     slope = sxy / sxx if sxx > 0.0 else 0.0
-    return slope, ybar - slope * xbar
+    fitted = map(add, map(mul, repeat(slope), xs), repeat(ybar - slope * xbar))
+    return math.fsum(map(pow, map(sub, ys, fitted), repeat(2))), slope
 
 
-def _rss(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
-    slope, intercept = _ols(xs, ys)
-    rss = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-    return rss, slope
-
-
-def _prefix_rss(ys: Sequence[float]) -> list[float]:
-    """Residual sum of squares of the least-squares line through each prefix.
-
-    Entry m - 1 is the RSS of ys[:m] against ranks 1..m, computed in O(1)
-    from running sums of y, rank * y and y^2: with Sxx = m(m^2 - 1)/12 the
-    centred sum of squared ranks, RSS = Syy - Sxy^2 / Sxx. A one-point
-    prefix has Sxy = 0 exactly and RSS 0 up to rounding.
-    """
-    out = []
-    s0 = s1 = s2 = 0.0
-    for m, y in enumerate(ys, 1):
-        s0 += y
-        s1 += m * y
-        s2 += y * y
-        sxy = s1 - 0.5 * (m + 1) * s0
-        sxx = m * (m * m - 1) / 12.0 or 1.0
-        out.append(s2 - s0 * s0 / m - sxy * sxy / sxx)
-    return out
+@lru_cache(maxsize=64)
+def _split_grid(n: int, min_segment: int) -> tuple[tuple[float, ...], tuple[tuple, ...]]:
+    """Ranks 1..n as floats, and for each split the two segments' sizes,
+    mean ranks and centred sums of squared ranks k(k^2 - 1)/12, all exact."""
+    rows = []
+    for m in range(min_segment, n - min_segment + 1):
+        r = n - m
+        rows.append((m, r, (m + 1) / 2, (m + 1 + n) / 2, (m**3 - m) / 12, (r**3 - r) / 12))
+    return tuple(map(float, range(1, n + 1))), tuple(rows)
 
 
 def _two_segment_fit(
@@ -336,45 +339,62 @@ def _two_segment_fit(
 
     The fit runs in two passes, O(n) plus the cost of the confirmations:
 
-    1. Screen. Prefix sums give the RSS of every leading segment and,
-       over the reversed values (RSS does not change when the ranks are
-       reversed), of every trailing one, so each split's total costs O(1).
-    2. Confirm. Only splits whose screened total lies within tol of the
-       smallest are refitted with _rss, in ascending order and with the
+    1. Screen. One pass of prefix sums S0 = sum y and S1 = sum rank * y
+       gives every leading segment's sums, and the totals minus them the
+       trailing one's. A segment of m points has RSS = Syy - Q, where Q =
+       S0^2 / m + Sxy^2 / Sxx, Sxy = S1 - S0 * (mean rank) and Sxx =
+       m(m^2 - 1)/12. Syy over both segments is the same at every split,
+       so the largest Q over both segments means the least total.
+    2. Confirm. Only splits whose screened Q lies within tol of the
+       largest are refitted with _rss, in ascending order and with the
        same strict < as a full scan, so the result is bit-identical to
        refitting every split.
 
     Why tol always holds the exact winner: let Y = max |y| and u = 2^-53.
-    The running sums of a length-m segment are at most mY, m^2 Y and mY^2
-    in size, so recursive summation misses them by at most m u times
-    that. Since |Sxy| <= Y sqrt(m Sxx), the error of Sxy^2 / Sxx is at
-    most about 8 m^2 u Y^2, and that of Syy about 3 m^2 u Y^2: a screened
-    total is within 23 n^2 u Y^2 of the true one. _rss's own rounding of
-    the residuals adds at most about 60 n u Y^2, which is below
-    20 n^2 u Y^2 for n >= 3. So each screened total is within
-    E = 43 n^2 u Y^2 of the value _rss returns, and the exact winner
-    screens at most 2E above the smallest screened total. tol =
-    128 n^2 u Y^2 covers 2E with room for the rounding of the comparison.
+    Recursive summation misses a prefix sum over j points by at most j u
+    times its terms' sizes, so S0 by j^2 u Y and S1 by j^3 u Y. A trailing
+    segment's sums also carry the totals' errors, and its mean rank is at
+    most n, so its Sxy is off by at most 5 n^3 u Y. As |Sxy| <=
+    Y sqrt(m Sxx) and sqrt(12 / (m^2 - 1)) <= 2 for m >= 2, its
+    Sxy^2 / Sxx is off by at most 20 n^3 u Y^2. The other three terms and
+    the additions add at most 33 n^2 u Y^2 + 5 n u Y^2, and second-order
+    terms at most n^3 u Y^2 while n <= 56,000. So for 4 <= n <= 56,000 a
+    screened Q is within 30 n^3 u Y^2 of the exact one. _rss's own
+    rounding adds at most about 60 n u Y^2 < 15 n^3 u Y^2, so Syy minus
+    each screened Q is within E = 45 n^3 u Y^2 of the total _rss returns,
+    and the winner's Q screens at most 2E below the largest. tol =
+    128 n^3 u Y^2 covers 2E with room for the rounding of the comparison.
     Results that underflow carry an absolute error of up to 2^-1075 each
-    instead, from O(n) operations amplified by at most O(n); the term
-    n^2 2^-1022 = n^2 2^53 2^-1075 covers them. Measured screen errors on
-    simulated and edge-case plots stay below 0.4 n^2 u Y^2. Ties and
-    constant runs confirm many splits; a typical p-value plot confirms one.
+    instead, from O(n) operations amplified by at most O(n^2); the term
+    n^3 2^-1022 = n^3 2^53 2^-1075 covers them. Measured screen errors on
+    simulated and edge-case plots stay below 0.04 n^3 u Y^2
+    (0.3 n^2 u Y^2). Ties and constant runs confirm many splits; a
+    typical p-value plot confirms one.
     """
     n = len(sorted_ps)
     if n < 2 * min_segment:
         return None
-    xs = [float(i) for i in range(1, n + 1)]
-    ys = [float(p) for p in sorted_ps]
-    head = _prefix_rss(ys)
-    tail = _prefix_rss(ys[::-1])
-    splits = range(min_segment, n - min_segment + 1)
-    screened = [head[split - 1] + tail[n - split - 1] for split in splits]
-    scale = max(abs(y) for y in ys)
-    cutoff = min(screened) + n * n * (scale * scale * 2.0**-46 + 2.0**-1022)
+    xs, splits = _split_grid(n, min_segment)
+    ys = list(map(float, sorted_ps))
+    s0 = list(accumulate(ys))
+    s1 = list(accumulate(map(mul, xs, ys)))
+    total0, total1 = s0[-1], s1[-1]
+    screened = []
+    for (m, r, head_mean, tail_mean, head_sxx, tail_sxx), head0, head1 in zip(
+        splits, s0[min_segment - 1:], s1[min_segment - 1:]
+    ):
+        tail0 = total0 - head0
+        head_xy = head1 - head_mean * head0
+        tail_xy = total1 - head1 - tail_mean * tail0
+        screened.append(
+            head0 * head0 / m + tail0 * tail0 / r
+            + head_xy * head_xy / head_sxx + tail_xy * tail_xy / tail_sxx
+        )
+    scale = max(map(abs, ys))
+    cutoff = max(screened) - n * n * n * (scale * scale * 2.0**-46 + 2.0**-1022)
     best: tuple[int, float, float, float] | None = None
-    for split, value in zip(splits, screened):
-        if value > cutoff:
+    for split, value in enumerate(screened, min_segment):
+        if value < cutoff:
             continue
         rss1, slope1 = _rss(xs[:split], ys[:split])
         rss2, slope2 = _rss(xs[split:], ys[split:])
@@ -395,15 +415,8 @@ def classify_plot(
     stat = ks_statistic(ps)
     ks_p = ks_pvalue(stat, n)
     fit = _two_segment_fit(ps, config.bilinear_min_segment)
-    changepoint = fit[0] if fit is not None else None
-    slopes = (fit[2], fit[3]) if fit is not None else None
-    diagnostics = PlotDiagnostics(
-        ks_statistic=stat,
-        ks_p=ks_p,
-        fraction_below_alpha=fraction,
-        changepoint_index=changepoint,
-        segment_slopes=slopes,
-    )
+    changepoint, slopes = (fit[0], fit[2:]) if fit is not None else (None, None)
+    diagnostics = PlotDiagnostics(stat, ks_p, fraction, changepoint, slopes)
 
     if n < config.min_points:
         return PlotClassification(PlotVerdict.AMBIGUOUS, diagnostics)

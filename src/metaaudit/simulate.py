@@ -19,7 +19,11 @@ true log odds ratio:
 * a null study (true log OR 0) takes p = 2 min(u, 1 - u), the exact
   two-sided p-value of z = Phi^-1(u), without evaluating the quantile or
   the CDF. u is m / 2^53 for an integer m, so 1 - u and the doubling are
-  exact and p lies in [2^-52, 1]; its standard error is drawn and unused;
+  exact and p lies in [2^-52, 1]. Its standard-error output is unused:
+  when no study can carry an effect (NULL, or FIXED_EFFECT with log_or 0)
+  the LCG steps past it unformed (pcg64.skip_open_uniforms), and in a
+  MIXTURE it is drawn and dropped. The stream still advances past that
+  output, so every other draw keeps its place;
 * an effect study maps u through the package's own normal quantile to
   the z draw and takes the two-sided p-value of (log_or + se * z) / se.
 
@@ -43,7 +47,7 @@ from enum import Enum
 
 from .errors import ConfigError
 from .normal import std_normal_quantile, two_sided_p
-from .pcg64 import open_uniform, pcg64_stream, uniform
+from .pcg64 import open_uniform, pcg64_stream, skip_open_uniforms, uniform
 from .pvplot import PlotConfig, PlotVerdict, build_plot, classify_plot
 
 
@@ -130,11 +134,15 @@ def simulate_trial(config: SimulationConfig, trial_index: int) -> tuple[float, .
     """
     if not isinstance(trial_index, int) or isinstance(trial_index, bool) or trial_index < 0:
         raise ConfigError(f"trial_index must be a non-negative integer, got {trial_index!r}")
-    draw = pcg64_stream([config.seed, trial_index]).__next__
-    low, high = config.se_range
-    span = high - low
+    entropy = [config.seed, trial_index]
     log_or = 0.0 if config.scenario is Scenario.NULL else config.log_or
     mixture = config.scenario is Scenario.MIXTURE
+    if log_or == 0.0 and not mixture:
+        us = skip_open_uniforms(entropy, config.k)
+        return tuple([2.0 * (u if u < 0.5 else 1.0 - u) for u in us])
+    draw = pcg64_stream(entropy).__next__
+    low, high = config.se_range
+    span = high - low
     fraction = config.effect_fraction
     ps = []
     for _ in range(config.k):

@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 
 from metaaudit.normal import std_normal_quantile, two_sided_p
-from metaaudit.pcg64 import open_uniform, pcg64_stream, seed_sequence_state, uniform
+from metaaudit import pcg64
+from metaaudit.pcg64 import (
+    open_uniform,
+    pcg64_stream,
+    seed_sequence_state,
+    skip_open_uniforms,
+    uniform,
+)
 from metaaudit.simulate import Scenario, SimulationConfig, simulate_trial
 
 # 2**32 - 1 and 2**32 straddle the one-word boundary; 2**64 + 5 fills the
@@ -125,6 +132,26 @@ def test_open_uniform_redraws_below_threshold(rejected):
     draws = iter([rejected, accepted, 0])
     assert open_uniform(draws.__next__) == ((accepted * (2**53 - 1) >> 64) + 1) / 2**53
     assert next(draws) == 0, "exactly one redraw"
+
+
+@pytest.mark.parametrize("seed, trial", [(0, 0), (2027, 999), (2**129 + 3, 10**6)])
+def test_skip_open_uniforms_redraws_like_open_uniform(monkeypatch, seed, trial):
+    # Raised to 2**63, the threshold makes about half the outputs redraw.
+    monkeypatch.setattr(pcg64, "_OPEN_REDRAW_BELOW", 2**63)
+    stream = pcg64_stream([seed, trial])
+    calls = 0
+
+    def draw():
+        nonlocal calls
+        calls += 1
+        return next(stream)
+
+    want = []
+    for _ in range(200):
+        draw()
+        want.append(open_uniform(draw))
+    assert skip_open_uniforms([seed, trial], 200) == want
+    assert 100 < calls - 400 < 300, "redraws"
 
 
 def test_open_uniform_bounds():

@@ -12,7 +12,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 import scipy.special
 import scipy.stats
 
@@ -89,6 +89,29 @@ def test_ks_statistic_matches_scipy():
         ps = rng.uniform(size=n)
         expected = scipy.stats.kstest(ps, "uniform").statistic
         assert ks_statistic(list(ps)) == pytest.approx(expected, abs=1e-12)
+
+
+def _former_ks_statistic(pvalues):
+    """ks_statistic as a per-point loop over the sorted sample."""
+    ordered = sorted(pvalues)
+    n = len(ordered)
+    d = 0.0
+    for i, p in enumerate(ordered, 1):
+        d = max(d, i / n - p, p - (i - 1) / n)
+    return d
+
+
+@given(st.lists(
+    st.one_of(st.floats(min_value=0.0, max_value=1.0), st.sampled_from([0.0, 0.05, 0.5, 1.0])),
+    min_size=1, max_size=60,
+))
+@example([0.0])
+@example([1.0])
+@example([0.5])
+@example([1.0, 0.0, 0.5, 0.5, 0.05])
+def test_ks_statistic_equals_the_former_loop_bit_for_bit(ps):
+    # Unsorted input, ties, the ends 0.0 and 1.0 and n = 1 all occur.
+    assert ks_statistic(ps).hex() == _former_ks_statistic(ps).hex()
 
 
 def _kolmogorov_mp(x):
@@ -314,6 +337,12 @@ def _edge_inputs(min_segment):
         yield [0.0] * (n // 2) + [1.0] * (n - n // 2)
         yield sorted(1e-162 * ((i * 7919) % n) for i in range(n))
         yield sorted(0.25 * ((i * 7) % 5) for i in range(n))
+        # Near-ties, which confirm several splits: a linear ramp fits every
+        # split exactly, and three clusters symmetric about the middle
+        # (p and 1 - p) tie each split m with n - m.
+        yield [(i + 1) / n for i in range(n)]
+        low = [0.01 * i / n + 0.5 * (i >= n // 3) for i in range(n // 2)]
+        yield sorted(low + [0.5] * (n % 2) + [1.0 - y for y in low])
 
 
 @pytest.mark.parametrize("min_segment", [2, 3, 4, 5])
@@ -333,7 +362,7 @@ def test_two_segment_fit_equals_brute_force_on_any_plot(ps, min_segment):
 
 @pytest.mark.parametrize("offset", [1, 5, 17, 200])
 def test_closed_form_rank_moments_equal_fsum(offset):
-    # _ols takes the mean and centred sum of squares of consecutive ranks
+    # _rss takes the mean and centred sum of squares of consecutive ranks
     # in closed form; both must equal the fsum passes they replace.
     for m in range(1, 2001):
         xs = [float(x) for x in range(offset, offset + m)]

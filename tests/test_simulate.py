@@ -107,8 +107,25 @@ def test_null_studies_skip_the_normal_quantile_and_cdf(monkeypatch):
             ),
             "03b5bae04874b4b59b7670c7d3e68ce1623af2e551dcd543277b97c11369d168",
         ),
+        (
+            # Null studies inside a mixture take the generic draw path.
+            SimulationConfig(
+                scenario=Scenario.MIXTURE, k=27, trials=100, seed=404,
+                log_or=0.5, effect_fraction=0.3,
+            ),
+            "d0e0e68d396c6c626ab6c47f47c9ae91e80b7b2adbbc9e6154ec1d6d58b7881e",
+        ),
+        (
+            _null(k=13, trials=100, seed=2027),
+            "9ada6779fe5d450269a40fd08a056beb2190ef8862820f219d0ad73d38e9d4ba",
+        ),
+        (
+            # At least min_points, below 2 * bilinear_min_segment: no fit runs.
+            _null(k=5, trials=100, seed=2027),
+            "7da485fedc0352421c638b7c1bf1bcf9104e00477559a0026f02f3612f25dbd4",
+        ),
     ],
-    ids=["null_k27", "mixture_k200", "fixed_effect_k13"],
+    ids=["null_k27", "mixture_k200", "fixed_effect_k13", "mixture_k27", "null_k13", "null_k5"],
 )
 def test_trial_bits_pinned(config, sha256):
     # The report pins keep 6 significant digits; this one hashes the repr
