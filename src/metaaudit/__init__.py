@@ -56,7 +56,6 @@ _EXPORTS = {
     "audit_report": "report",
     "canonical_json": "report",
     "conversion_rows": "report",
-    "reproduction_figures": "reproduce",
     "run_reproduction": "reproduce",
     "CountBlock": "search_space",
     "LedgerSummary": "search_space",

@@ -141,17 +141,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
-_COHORT_FLAGS = {"n_publications": "--publications", "median_space": "--median-nh"}
-
-
 def _cmd_cohort(args: argparse.Namespace) -> int:
-    try:
-        value = cohort_false_positives(args.publications, args.median_nh, args.alpha)
-    except AuditError as exc:
-        flag = _COHORT_FLAGS.get(exc.field)
-        if flag is None:
-            raise
-        raise ConfigError(f"{flag}: {exc}") from None
+    value = cohort_false_positives(args.publications, args.median_nh, args.alpha)
     payload = {
         "version": __version__,
         "publications": args.publications,
@@ -321,12 +312,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The library fields that receive a flag's value, and the flag an error names.
+_FLAGS = {
+    "alpha": "--alpha",
+    "ci_level": "--level",
+    "n_publications": "--publications",
+    "median_space": "--median-nh",
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except AuditError as exc:
-        _print_error(str(exc))
+        flag = _FLAGS.get(exc.field)
+        _print_error(f"{flag}: {exc}" if flag else str(exc))
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         _print_error(f"{type(exc).__name__}: {exc}")

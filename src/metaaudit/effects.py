@@ -95,7 +95,7 @@ def interval_multiplier(ci_level: float) -> float:
     Cached: nearly every row of a table shares one level.
     """
     if not 0.0 < ci_level < 1.0:
-        raise DomainError(f"ci_level must be inside (0, 1), got {ci_level!r}")
+        raise DomainError(f"ci_level must be inside (0, 1), got {ci_level!r}", field="ci_level")
     return std_normal_quantile(1.0 - (1.0 - ci_level) / 2.0)
 
 

@@ -206,10 +206,8 @@ def ingest_counts(path: str | Path) -> Ingested:
     path = Path(path)
     rows, lines, data = _open_rows(path, COUNT_COLUMNS)
     diagnostics: list[tuple[int, str, str]] = []
-    order: list[str] = []
-    regions: dict[str, str] = {}
-    blocks: dict[str, list[CountBlock]] = {}
-    last_line: dict[str, int] = {}
+    # Each paper's region, blocks and last row's line, in first-appearance order.
+    papers: dict[str, tuple[str, list[CountBlock], int]] = {}
     for row, line in zip(rows, lines):
         label = row.get("paper_label", "")
         if not label:
@@ -231,26 +229,19 @@ def ingest_counts(path: str | Path) -> Ingested:
             diagnostics.append((line, exc.field, str(exc)))
             continue
         region = row.get("region", "")
-        if label not in regions:
-            order.append(label)
-            regions[label] = region
-            blocks[label] = []
-        elif regions[label] != region:
-            diagnostics.append(
-                (line, "region", f"conflicts with earlier region {regions[label]!r}")
-            )
+        first_region, blocks, _ = papers.get(label, (region, [], line))
+        if first_region != region:
+            diagnostics.append((line, "region", f"conflicts with earlier region {first_region!r}"))
             continue
-        blocks[label].append(block)
-        last_line[label] = line
+        blocks.append(block)
+        papers[label] = (region, blocks, line)
     studies = []
-    for label in order:
+    for label, (region, blocks, last_line) in papers.items():
         try:
-            studies.append(
-                StudyCounts(paper_label=label, region=regions[label], blocks=tuple(blocks[label]))
-            )
+            studies.append(StudyCounts(paper_label=label, region=region, blocks=tuple(blocks)))
         except AuditError as exc:
             # A paper-level failure (its sum over blocks) is located at its last row.
-            diagnostics.append((last_line[label], exc.field, str(exc)))
+            diagnostics.append((last_line, exc.field, str(exc)))
     if diagnostics:
         raise CsvFormatError(path.name, diagnostics)
     return Ingested(studies, path.name, data)

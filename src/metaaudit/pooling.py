@@ -92,16 +92,15 @@ def _weighted_mean(ys: list[float], ws: list[float]) -> tuple[float, float]:
     return mean, sw ** -0.5
 
 
-def _heterogeneity(ys: list[float], vs: list[float]) -> tuple[float, float, float]:
+def _heterogeneity(ys: list[float], ws: list[float]) -> tuple[float, float, float]:
     """Cochran's Q, DerSimonian-Laird tau^2 and I^2 for log effects.
 
-    Q = sum w_i (y_i - y_fe)^2 with fixed-effect weights w_i = 1/v_i;
+    Q = sum w_i (y_i - y_fe)^2 with the fixed-effect weights ws, w_i = 1/v_i;
     tau^2 = max(0, (Q - (k-1)) / (sum w - sum w^2 / sum w)), clamped so a
     homogeneous set (Q <= k-1) gives exactly zero; I^2 = max(0, (Q-(k-1))/Q)
     and zero when Q = 0.
     """
     k = len(ys)
-    ws = [1.0 / v for v in vs]
     mean_fe, _ = _weighted_mean(ys, ws)
     q = math.fsum(w * (y - mean_fe) ** 2 for w, y in zip(ws, ys))
     if k < 2:
@@ -122,11 +121,9 @@ def _result(
         raise EmptyInputError("pooling requires at least one study")
     ordered = _canonical(effects)
     ys, vs = _log_scale(ordered)
-    q, tau2, i2 = _heterogeneity(ys, vs)
-    if method is PoolingMethod.FIXED:
-        ws = [1.0 / v for v in vs]
-    else:
-        ws = [1.0 / (v + tau2) for v in vs]
+    fixed = [1.0 / v for v in vs]
+    q, tau2, i2 = _heterogeneity(ys, fixed)
+    ws = fixed if method is PoolingMethod.FIXED else [1.0 / (v + tau2) for v in vs]
     mean, se = _weighted_mean(ys, ws)
     mult = interval_multiplier(ci_level)
     return PooledResult(

@@ -48,6 +48,8 @@ _WIDTH = 640
 _HEIGHT = 480
 _MARGIN = 64
 _POINT_RADIUS = 4.0
+# The characters a text element's content must escape.
+_SVG_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # ks_pvalue switches from the alternating series to the theta-function form
@@ -163,7 +165,7 @@ def build_plot(
     if not pvalues:
         raise EmptyInputError("a p-value plot needs at least one p-value")
     if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be inside (0, 1), got {alpha!r}")
+        raise DomainError(f"alpha must be inside (0, 1), got {alpha!r}", field="alpha")
     if negative is None:
         negative = [False] * len(pvalues)
     if len(negative) != len(pvalues):
@@ -441,15 +443,41 @@ def classify_plot(
 
 
 def _fmt(value: float) -> str:
-    return f"{value:.2f}"
+    """A coordinate: a float to two decimals, an int as it is."""
+    return f"{value:.2f}" if isinstance(value, float) else str(value)
 
 
-def _svg_escape(text: str) -> str:
+def _text(x: float, y: float, text: str, size: int = 11, anchor: str = "",
+          fill: str = "#000000", rotated: bool = False) -> str:
+    """A sans-serif label at (x, y); rotated turns it a quarter left about that point."""
+    anchored = f' text-anchor="{anchor}"' if anchor else ""
+    turn = f' transform="rotate(-90 {_fmt(x)} {_fmt(y)})"' if rotated else ""
     return (
-        text.replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
+        f'<text x="{_fmt(x)}" y="{_fmt(y)}"{anchored} font-family="sans-serif" '
+        f'font-size="{size}" fill="{fill}"{turn}>{text.translate(_SVG_ESCAPES)}</text>'
+    )
+
+
+def _line(x1: float, y1: float, x2: float, y2: float,
+          stroke: str = "#000000", dashes: str = "") -> str:
+    dashed = f' stroke-dasharray="{dashes}"' if dashes else ""
+    return (
+        f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+        f'stroke="{stroke}" stroke-width="1"{dashed}/>'
+    )
+
+
+def _circle(cx: float, cy: float) -> str:
+    """The marker of a source with OR >= 1."""
+    return f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(_POINT_RADIUS)}" fill="#2b6cb0"/>'
+
+
+def _diamond(cx: float, cy: float) -> str:
+    """The marker of a source with OR < 1."""
+    r = _POINT_RADIUS + 1.0
+    return (
+        f'<path d="M {_fmt(cx)} {_fmt(cy - r)} L {_fmt(cx + r)} {_fmt(cy)} '
+        f'L {_fmt(cx)} {_fmt(cy + r)} L {_fmt(cx - r)} {_fmt(cy)} Z" fill="#b83232"/>'
     )
 
 
@@ -470,116 +498,51 @@ def _render_svg(
     def y(p: float) -> float:
         return bottom - (bottom - top) * p
 
-    parts: list[str] = []
-    parts.append(
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
-        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">'
-    )
-    parts.append(
-        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>'
-    )
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
+    ]
     if title:
-        parts.append(
-            f'<text x="{_fmt((left + right) / 2)}" y="22" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14" fill="#000000">'
-            f"{_svg_escape(title)}</text>"
-        )
+        parts.append(_text((left + right) / 2, 22, title, size=14, anchor="middle"))
     parts.append(
         f'<path d="M {_fmt(left)} {_fmt(top)} L {_fmt(left)} {_fmt(bottom)} '
         f'L {_fmt(right)} {_fmt(bottom)}" fill="none" stroke="#000000" stroke-width="1"/>'
     )
-    for tick in range(0, 11, 2):
-        p = tick / 10.0
-        yy = y(p)
-        parts.append(
-            f'<line x1="{_fmt(left - 4)}" y1="{_fmt(yy)}" x2="{_fmt(left)}" '
-            f'y2="{_fmt(yy)}" stroke="#000000" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(left - 8)}" y="{_fmt(yy + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11" fill="#000000">{p:.1f}</text>'
-        )
-    step = max(1, math.ceil(n / 8))
-    ticks = list(range(0, n + 1, step))
+    for p in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
+        parts.append(_line(left - 4, y(p), left, y(p)))
+        parts.append(_text(left - 8, y(p) + 4, f"{p:.1f}", anchor="end"))
+    ticks = list(range(0, n + 1, max(1, math.ceil(n / 8))))
     if ticks[-1] != n:
         ticks.append(n)
     for tick in ticks:
-        xx = x(tick)
-        parts.append(
-            f'<line x1="{_fmt(xx)}" y1="{_fmt(bottom)}" x2="{_fmt(xx)}" '
-            f'y2="{_fmt(bottom + 4)}" stroke="#000000" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(xx)}" y="{_fmt(bottom + 16)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11" fill="#000000">{tick}</text>'
-        )
-    parts.append(
-        f'<line x1="{_fmt(x(0))}" y1="{_fmt(y(0.0))}" x2="{_fmt(x(n))}" '
-        f'y2="{_fmt(y(1.0))}" stroke="#999999" stroke-width="1"/>'
-    )
-    yy = y(plot.alpha)
-    parts.append(
-        f'<line x1="{_fmt(left)}" y1="{_fmt(yy)}" x2="{_fmt(right)}" y2="{_fmt(yy)}" '
-        f'stroke="#aa2222" stroke-width="1" stroke-dasharray="5 4"/>'
-    )
-    parts.append(
-        f'<text x="{_fmt(right)}" y="{_fmt(yy - 4)}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="11" fill="#aa2222">alpha = {plot.alpha:g}</text>'
-    )
-    radius = _POINT_RADIUS
+        parts.append(_line(x(tick), bottom, x(tick), bottom + 4))
+        parts.append(_text(x(tick), bottom + 16, str(tick), anchor="middle"))
+    parts.append(_line(x(0), y(0.0), x(n), y(1.0), stroke="#999999"))
+    alpha_y = y(plot.alpha)
+    parts.append(_line(left, alpha_y, right, alpha_y, stroke="#aa2222", dashes="5 4"))
+    alpha_label = f"alpha = {plot.alpha:g}"
+    parts.append(_text(right, alpha_y - 4, alpha_label, anchor="end", fill="#aa2222"))
     for point in plot.points:
-        cx, cy = x(point.rank), y(point.p_value)
-        if point.negative_effect:
-            r = radius + 1.0
-            parts.append(
-                f'<path d="M {_fmt(cx)} {_fmt(cy - r)} L {_fmt(cx + r)} {_fmt(cy)} '
-                f'L {_fmt(cx)} {_fmt(cy + r)} L {_fmt(cx - r)} {_fmt(cy)} Z" '
-                f'fill="#b83232"/>'
-            )
-        else:
-            parts.append(
-                f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius)}" fill="#2b6cb0"/>'
-            )
+        marker = _diamond if point.negative_effect else _circle
+        parts.append(marker(x(point.rank), y(point.p_value)))
     if any(point.negative_effect for point in plot.points):
-        ly = top + 8
-        parts.append(
-            f'<circle cx="{_fmt(left + 12)}" cy="{_fmt(ly)}" r="{_fmt(radius)}" fill="#2b6cb0"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(left + 20)}" y="{_fmt(ly + 4)}" font-family="sans-serif" '
-            f'font-size="11" fill="#000000">OR &gt;= 1</text>'
-        )
-        r = radius + 1.0
-        lx = left + 84
-        parts.append(
-            f'<path d="M {_fmt(lx)} {_fmt(ly - r)} L {_fmt(lx + r)} {_fmt(ly)} '
-            f'L {_fmt(lx)} {_fmt(ly + r)} L {_fmt(lx - r)} {_fmt(ly)} Z" fill="#b83232"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(lx + 8)}" y="{_fmt(ly + 4)}" font-family="sans-serif" '
-            f'font-size="11" fill="#000000">OR &lt; 1</text>'
-        )
-    parts.append(
-        f'<text x="{_fmt((left + right) / 2)}" y="{_fmt(bottom + 34)}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="12" '
-        f'fill="#000000">rank of p-value (ascending)</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{_fmt((top + bottom) / 2)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" fill="#000000" '
-        f'transform="rotate(-90 16 {_fmt((top + bottom) / 2)})">p-value</text>'
-    )
+        parts += [
+            _circle(left + 12, top + 8),
+            _text(left + 20, top + 12, "OR >= 1"),
+            _diamond(left + 84, top + 8),
+            _text(left + 92, top + 12, "OR < 1"),
+        ]
+    x_label = "rank of p-value (ascending)"
+    parts.append(_text((left + right) / 2, bottom + 34, x_label, size=12, anchor="middle"))
+    parts.append(_text(16, (top + bottom) / 2, "p-value", size=12, anchor="middle", rotated=True))
     if classification is not None:
         d = classification.diagnostics
         note = (
             f"verdict: {classification.verdict.value} | KS p = {d.ks_p:.4f} | "
             f"{plot.n_below_alpha}/{n} below alpha"
         )
-        parts.append(
-            f'<text x="{_fmt(right)}" y="{_fmt(bottom - 8)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11" fill="#555555">'
-            f"{_svg_escape(note)}</text>"
-        )
+        parts.append(_text(right, bottom - 8, note, anchor="end", fill="#555555"))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -154,18 +154,6 @@ def _effect_table(dataset: str) -> _EffectTable:
     return effects, plot, classify_plot(plot)
 
 
-def _figures(tables: dict[str, _EffectTable]) -> dict[str, str]:
-    return {
-        filename: render_plot(*tables[dataset][1:], FIGURE_TITLES[dataset], "svg")
-        for dataset, filename in FIGURE_FILES.items()
-    }
-
-
-def reproduction_figures() -> dict[str, str]:
-    """Both bundled p-value plots rendered as SVG text."""
-    return _figures({dataset: _effect_table(dataset) for dataset in FIGURE_FILES})
-
-
 def run_reproduction(outdir: str | Path | None = None) -> dict[str, Any]:
     """Recompute every reference value and diff it against expectation.
 
@@ -295,6 +283,8 @@ def run_reproduction(outdir: str | Path | None = None) -> dict[str, Any]:
     }
 
     if outdir is not None:
-        texts = {"reproduction.json": canonical_json(diff), **_figures(tables)}
+        texts = {"reproduction.json": canonical_json(diff)}
+        for dataset, filename in FIGURE_FILES.items():
+            texts[filename] = render_plot(*tables[dataset][1:], FIGURE_TITLES[dataset], "svg")
         write_artifacts(Path(outdir), texts)
     return diff

@@ -99,7 +99,7 @@ def expected_false_positives(n_space: float, alpha: float) -> float:
     if isinstance(n_space, bool) or not finite:
         raise DomainError(f"n_space must be finite and >= 0, got {n_space!r}", field="n_space")
     if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be inside (0, 1), got {alpha!r}")
+        raise DomainError(f"alpha must be inside (0, 1), got {alpha!r}", field="alpha")
     return alpha * n_space
 
 
@@ -116,7 +116,7 @@ def cohort_false_positives(
     _check_float_range("n_publications", n_publications, "n_publications")
     _check_float_range("median_space", median_space, "median_space")
     if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be inside (0, 1), got {alpha!r}")
+        raise DomainError(f"alpha must be inside (0, 1), got {alpha!r}", field="alpha")
     value = alpha * n_publications * median_space
     _check_float_range("alpha * n_publications * median_space", value, None)
     return value

@@ -122,9 +122,6 @@ class SimulationReport:
     mean_ks_p: float
     fraction_ks_pass: float
 
-    def verdict_fraction(self, verdict: PlotVerdict) -> float:
-        return self.verdict_counts.get(verdict.value, 0) / self.config.trials
-
 
 def simulate_trial(config: SimulationConfig, trial_index: int) -> tuple[float, ...]:
     """P-values of one trial's k synthetic studies.

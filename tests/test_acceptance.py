@@ -38,9 +38,9 @@ from metaaudit.reproduce import (
     EXPECTED_ASTHMA_P,
     EXPECTED_SEARCH_SPACES,
     EXPECTED_WHEEZE_P,
+    FIGURE_FILES,
     FLAGGED_ROWS,
     fixture_path,
-    reproduction_figures,
     run_reproduction,
 )
 from metaaudit.report import canonical_json
@@ -142,7 +142,7 @@ def test_acceptance_3_inverse_variance_combination():
 
 
 @criterion(4, "figure counts, classifications and byte-stable SVGs")
-def test_acceptance_4_figures():
+def test_acceptance_4_figures(tmp_path):
     asthma = plot_from_effects(
         ingest_effects(fixture_path("asthma_effects.csv")), ConversionMethod.NATURAL
     )
@@ -162,10 +162,11 @@ def test_acceptance_4_figures():
     assert classify_plot(asthma).verdict is not PlotVerdict.EFFECT_LINE
     assert classify_plot(wheeze).verdict is not PlotVerdict.EFFECT_LINE
 
-    first = reproduction_figures()
-    second = reproduction_figures()
-    assert first == second
-    for name, svg in first.items():
+    run_reproduction(tmp_path / "first")
+    run_reproduction(tmp_path / "second")
+    for name in FIGURE_FILES.values():
+        svg = (tmp_path / "first" / name).read_text(encoding="utf-8")
+        assert svg == (tmp_path / "second" / name).read_text(encoding="utf-8")
         golden = (GOLDEN_DIR / name).read_text(encoding="utf-8")
         assert svg == golden, f"{name} drifted from its golden copy"
 
@@ -249,7 +250,8 @@ def test_acceptance_6_calibration():
     null_run = run_simulation(
         SimulationConfig(scenario=Scenario.NULL, k=27, trials=1000, seed=2027)
     )
-    uniform_fraction = null_run.verdict_fraction(PlotVerdict.UNIFORM45)
+    uniform_count = null_run.verdict_counts[PlotVerdict.UNIFORM45.value]
+    uniform_fraction = uniform_count / null_run.config.trials
     assert uniform_fraction >= 0.90, f"null Uniform45 rate {uniform_fraction:.3f}"
 
     effect_run = run_simulation(
@@ -257,7 +259,8 @@ def test_acceptance_6_calibration():
             scenario=Scenario.FIXED_EFFECT, k=27, trials=1000, seed=404, log_or=0.7
         )
     )
-    effect_fraction = effect_run.verdict_fraction(PlotVerdict.EFFECT_LINE)
+    effect_count = effect_run.verdict_counts[PlotVerdict.EFFECT_LINE.value]
+    effect_fraction = effect_count / effect_run.config.trials
     assert effect_fraction >= 0.95, f"effect EffectLine rate {effect_fraction:.3f}"
     assert time.perf_counter() - start < 30.0
 

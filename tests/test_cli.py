@@ -421,6 +421,25 @@ def test_plot_writes_three_artifacts(tmp_path, capsys):
     assert "verdict uniform45" in out
 
 
+@pytest.mark.parametrize(
+    "method, artifact, sha256",
+    [
+        ("natural", "asthma_effects_plot.svg",
+         "3b226056df5313215c428c2b764f2b7bb94ee18b6fd8bf712c07d3879b9d7787"),
+        ("natural", "asthma_effects_plot.csv",
+         "008c01555b8267bb78b9ba80bd43ae34305561e82ae8a1fb7e7846452c08817b"),
+        ("log", "asthma_effects_plot.svg",
+         "3e995f74629dd1d07a1f33bfa93894790bb36719c396044c2a87b87295f2137f"),
+        ("log", "asthma_effects_plot.csv",
+         "094e51dc99867ebcd33fe5e2848a7a7024fddba5f5b304837706e555ff082aa7"),
+    ],
+)
+def test_plot_artifact_pins(tmp_path, capsys, method, artifact, sha256):
+    argv = ["plot", str(fixture_path("asthma_effects.csv")), "--method", method]
+    assert main([*argv, "--outdir", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest() == sha256
+
+
 def test_count_summary(capsys):
     assert main(["count", str(fixture_path("hypothesis_counts.csv"))]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -521,6 +540,34 @@ def test_cohort_output(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["expected_false_positives_rounded"] == 73958
     assert math.isclose(payload["expected_false_positives"], 73958.4, abs_tol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pool", "{fixtures}/asthma_effects.csv", "--model", "fixed", "--level", "1.5"],
+         "--level: ci_level must be inside (0, 1), got 1.5"),
+        (["pool", "{fixtures}/asthma_effects.csv", "--model", "dl", "--level", "0"],
+         "--level: ci_level must be inside (0, 1), got 0.0"),
+        (["plot", "{fixtures}/asthma_effects.csv", "--alpha", "2", "--outdir", "{out}"],
+         "--alpha: alpha must be inside (0, 1), got 2.0"),
+        (["count", "{fixtures}/hypothesis_counts.csv", "--alpha", "2"],
+         "--alpha: alpha must be inside (0, 1), got 2.0"),
+        (["cohort", "--publications", "107", "--median-nh", "13824", "--alpha", "2"],
+         "--alpha: alpha must be inside (0, 1), got 2.0"),
+        (["cohort", "--publications", "0", "--median-nh", "13824"],
+         "--publications: n_publications must be >= 1, got 0"),
+        (["cohort", "--publications", "107", "--median-nh", "-1"],
+         "--median-nh: median_space must be >= 0, got -1"),
+    ],
+    ids=["pool-level", "pool-dl-level", "plot-alpha", "count-alpha", "cohort-alpha",
+         "cohort-publications", "cohort-median-nh"],
+)
+def test_flag_errors_name_the_flag(tmp_path, capsys, argv, message):
+    fixtures = fixture_path("asthma_effects.csv").parent
+    argv = [arg.format(fixtures=fixtures, out=tmp_path) for arg in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_simulate_smoke(tmp_path, capsys):

@@ -5,6 +5,7 @@ are exercised at their decision boundaries; rendering is held to golden
 files so any byte-level drift is caught.
 """
 
+import hashlib
 import math
 import sys
 from pathlib import Path
@@ -34,7 +35,7 @@ from metaaudit import (
 )
 from metaaudit import pvplot
 from metaaudit.pvplot import _rss, _two_segment_fit
-from metaaudit.reproduce import fixture_path, reproduction_figures
+from metaaudit.reproduce import fixture_path, run_reproduction
 from metaaudit.simulate import Scenario, SimulationConfig, simulate_trial
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -411,9 +412,55 @@ def test_plot_config_validation():
 
 
 @pytest.mark.parametrize("name", ["asthma_plot.svg", "wheeze_plot.svg"])
-def test_golden_svg(name):
+def test_golden_svg(tmp_path, name):
     golden = (GOLDEN_DIR / name).read_text(encoding="utf-8")
-    assert reproduction_figures()[name] == golden
+    run_reproduction(tmp_path)
+    assert (tmp_path / name).read_text(encoding="utf-8") == golden
+
+
+def _pin_plot(n, alpha, negatives):
+    """n fixed p-values; every third source has OR < 1 when negatives is set."""
+    ps = [(i * 0.6180339887498949) % 1.0 for i in range(1, n + 1)]
+    flags = [negatives and i % 3 == 0 for i in range(n)]
+    return build_plot(_labeled(ps), alpha=alpha, negative=flags)
+
+
+# The SHA-256 of render_plot's output on branches the two golden SVGs never
+# reach, so that a rewrite of the renderer must keep every byte.
+@pytest.mark.parametrize(
+    "n, alpha, negatives, classified, title, fmt, sha256",
+    [
+        pytest.param(27, 0.05, True, True, "", "svg",
+                     "8f01e5d8f763f30117f17dde15fbdd42be2c139cfca87ac0600d3d9b16e8cf19",
+                     id="no-title"),
+        pytest.param(27, 0.05, True, False, "Pinned", "svg",
+                     "c67db6682166fce263e669d71c00560449e0edca00c4773964fa3416fd6d38f9",
+                     id="no-classification"),
+        pytest.param(27, 0.05, False, True, "Pinned", "svg",
+                     "2ae1e576540fd366704a0edddff71cfff683406780bcb045191f11b24c530e75",
+                     id="no-legend"),
+        pytest.param(1, 0.05, True, True, "Pinned", "svg",
+                     "a662c7f024435fbcf6b3244dbfc9f14d11c8fad1392e0b16626d0bd9756b301c",
+                     id="n1"),
+        pytest.param(9, 0.05, True, True, "Pinned", "svg",
+                     "24ffffaaf575592568da54dbff3a0dbb477f21b6034c89df704e059015fde19d",
+                     id="n9-last-tick-appended"),
+        pytest.param(27, 0.05, True, True, 'A <b> & "c"', "svg",
+                     "9964e564c8e1873441c1d89d6c866d52f2bf9008d050456ae1e202509d8a9068",
+                     id="escaped-title"),
+        pytest.param(27, 0.01, True, True, "Pinned", "svg",
+                     "1818087eede199de661738a7e37c2e5d54d3c8b42f231e0c811d1394b6cd96dc",
+                     id="alpha-0.01"),
+        pytest.param(27, 0.05, True, True, "Pinned", "csv",
+                     "6e11dfef4aee7e39e45478cd29ea5e4031fe10e8f4f7d08e2ad8446b719e6d41",
+                     id="csv"),
+    ],
+)
+def test_render_pins(n, alpha, negatives, classified, title, fmt, sha256):
+    plot = _pin_plot(n, alpha, negatives)
+    classification = classify_plot(plot) if classified else None
+    text = render_plot(plot, classification, title, fmt)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
 
 
 def test_rendering_is_deterministic():
@@ -428,8 +475,9 @@ def test_rendering_is_deterministic():
     )
 
 
-def test_svg_marks_negative_directions():
-    svg = reproduction_figures()["wheeze_plot.svg"]
+def test_svg_marks_negative_directions(tmp_path):
+    run_reproduction(tmp_path)
+    svg = (tmp_path / "wheeze_plot.svg").read_text(encoding="utf-8")
     # 10 sub-unity odds ratios plus one legend marker.
     assert svg.count('fill="#b83232"') == 11
     assert "OR &lt; 1" in svg

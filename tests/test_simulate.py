@@ -204,15 +204,15 @@ def test_verdict_histogram_sums_to_trials():
     report = run_simulation(_null(trials=40))
     assert sum(report.verdict_counts.values()) == 40
     total = sum(
-        report.verdict_fraction(verdict) for verdict in PlotVerdict
+        report.verdict_counts[verdict.value] / report.config.trials for verdict in PlotVerdict
     )
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_null_mostly_classifies_uniform():
     report = run_simulation(_null(trials=200))
-    assert report.verdict_fraction(PlotVerdict.UNIFORM45) >= 0.85
-    assert report.verdict_fraction(PlotVerdict.EFFECT_LINE) == 0.0
+    assert report.verdict_counts[PlotVerdict.UNIFORM45.value] / report.config.trials >= 0.85
+    assert report.verdict_counts[PlotVerdict.EFFECT_LINE.value] / report.config.trials == 0.0
 
 
 def test_strong_effect_always_classifies_effect_line():
@@ -220,7 +220,7 @@ def test_strong_effect_always_classifies_effect_line():
         scenario=Scenario.FIXED_EFFECT, k=27, trials=100, seed=404, log_or=0.7
     )
     report = run_simulation(config)
-    assert report.verdict_fraction(PlotVerdict.EFFECT_LINE) == 1.0
+    assert report.verdict_counts[PlotVerdict.EFFECT_LINE.value] / config.trials == 1.0
 
 
 def test_mixture_fraction_controls_significance_rate():
