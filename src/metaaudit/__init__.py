@@ -55,7 +55,6 @@ _EXPORTS = {
     "render_plot": "pvplot",
     "audit_report": "report",
     "canonical_json": "report",
-    "conversion_rows": "report",
     "run_reproduction": "reproduce",
     "CountBlock": "search_space",
     "LedgerSummary": "search_space",

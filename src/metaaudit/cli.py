@@ -25,6 +25,7 @@ import os
 import sys
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
+from typing import Any
 
 from . import __version__
 from .effects import ConversionMethod, p_from_effect
@@ -51,6 +52,12 @@ def _write_text(output: str | None, text: str) -> None:
         write_text(Path(output), text)
 
 
+def _emit(output: str | None, payload: dict[str, Any]) -> int:
+    """Write payload, stamped with the version, as canonical JSON."""
+    _write_text(output, canonical_json({**payload, "version": __version__}))
+    return 0
+
+
 def _cmd_convert(args: argparse.Namespace) -> int:
     effects = ingest_effects(args.input)
     method = ConversionMethod(args.method)
@@ -65,17 +72,9 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 def _cmd_pool(args: argparse.Namespace) -> int:
     effects = ingest_effects(args.input)
-    if args.model == "fixed":
-        result = pool_fixed(effects, ci_level=args.level)
-    else:
-        result = pool_dersimonian_laird(effects, ci_level=args.level)
-    payload = {
-        "version": __version__,
-        "input": effects.digest,
-        "result": result,
-    }
-    _write_text(args.output, canonical_json(payload))
-    return 0
+    pool = pool_fixed if args.model == "fixed" else pool_dersimonian_laird
+    result = pool(effects, ci_level=args.level)
+    return _emit(args.output, {"input": effects.digest, "result": result})
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
@@ -118,7 +117,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
     studies = ingest_counts(args.input)
     summary = summarize_ledger(studies)
     payload = {
-        "version": __version__,
         "input": studies.digest,
         "alpha": args.alpha,
         "studies": [
@@ -137,22 +135,19 @@ def _cmd_count(args: argparse.Namespace) -> int:
             ),
         },
     }
-    _write_text(args.output, canonical_json(payload))
-    return 0
+    return _emit(args.output, payload)
 
 
 def _cmd_cohort(args: argparse.Namespace) -> int:
     value = cohort_false_positives(args.publications, args.median_nh, args.alpha)
     payload = {
-        "version": __version__,
         "publications": args.publications,
         "median_search_space": args.median_nh,
         "alpha": args.alpha,
         "expected_false_positives": value,
         "expected_false_positives_rounded": round(value),
     }
-    _write_text(args.output, canonical_json(payload))
-    return 0
+    return _emit(args.output, payload)
 
 
 def _load_sim_config(path: str) -> SimulationConfig:
@@ -185,8 +180,7 @@ def _load_sim_config(path: str) -> SimulationConfig:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     report = run_simulation(_load_sim_config(args.config))
-    _write_text(args.output, canonical_json({**asdict(report), "version": __version__}))
-    return 0
+    return _emit(args.output, asdict(report))
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
@@ -210,6 +204,56 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     return 0
 
 
+_EFFECTS = {"input": dict(help="effect CSV path")}
+_METHOD = {"--method": dict(choices=[m.value for m in ConversionMethod],
+                            default=ConversionMethod.LOG.value,
+                            help="interval reading used to recover the standard error")}
+_OUTPUT = {"--output": dict(help="output path (default stdout)")}
+
+# Each subcommand: its handler, its help, and the add_argument options of
+# each of its arguments, by name, in usage order. Library functions stay out
+# of this table: perfbench's tracer swaps only names looked up at call time.
+_COMMANDS = {
+    "convert": (_cmd_convert, "convert OR/CI rows to two-sided p-values (CSV out)",
+                {**_EFFECTS, **_METHOD, **_OUTPUT}),
+    "pool": (_cmd_pool, "pool a study set with inverse-variance weights (JSON out)", {
+        **_EFFECTS,
+        "--model": dict(choices=["fixed", "dl"], required=True,
+                        help="fixed effect or DerSimonian-Laird random effects"),
+        "--level": dict(type=float, default=0.95, help="confidence level (default 0.95)"),
+        **_OUTPUT,
+    }),
+    "plot": (_cmd_plot, "build, classify and render a p-value plot (SVG + CSV + JSON)", {
+        **_EFFECTS,
+        **_METHOD,
+        "--alpha": dict(type=float, default=0.05, help="significance threshold"),
+        "--outdir": dict(default=".", help="directory for the artifacts"),
+    }),
+    "count": (_cmd_count, "per-paper multiple-testing search spaces (JSON out)", {
+        "input": dict(help="model-count CSV path"),
+        "--alpha": dict(type=float, default=0.05, help="false-positive rate per test"),
+        **_OUTPUT,
+    }),
+    "cohort": (_cmd_cohort, "expected false positives across a publication cohort", {
+        "--publications": dict(type=int, required=True),
+        "--median-nh": dict(type=int, required=True, help="median per-publication search space"),
+        "--alpha": dict(type=float, default=0.05),
+        **_OUTPUT,
+    }),
+    "simulate": (_cmd_simulate, "seeded Monte Carlo calibration of the plot classifier", {
+        "--config": dict(
+            required=True,
+            help="JSON config: scenario, k, trials, seed, se_range, log_or, effect_fraction",
+        ),
+        **_OUTPUT,
+    }),
+    "reproduce": (
+        _cmd_reproduce, "recompute the bundled datasets' reference numbers and diff them",
+        {"--outdir": dict(default=".", help="directory for reproduction.json and figures")},
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="metaaudit",
@@ -219,96 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    convert = subparsers.add_parser(
-        "convert", help="convert OR/CI rows to two-sided p-values (CSV out)"
-    )
-    convert.add_argument("input", help="effect CSV path")
-    convert.add_argument(
-        "--method",
-        choices=[m.value for m in ConversionMethod],
-        default=ConversionMethod.LOG.value,
-        help="interval reading used to recover the standard error",
-    )
-    convert.add_argument("--output", default=None, help="output path (default stdout)")
-    convert.set_defaults(func=_cmd_convert)
-
-    pool = subparsers.add_parser(
-        "pool", help="pool a study set with inverse-variance weights (JSON out)"
-    )
-    pool.add_argument("input", help="effect CSV path")
-    pool.add_argument(
-        "--model",
-        choices=["fixed", "dl"],
-        required=True,
-        help="fixed effect or DerSimonian-Laird random effects",
-    )
-    pool.add_argument(
-        "--level", type=float, default=0.95, help="confidence level (default 0.95)"
-    )
-    pool.add_argument("--output", default=None, help="output path (default stdout)")
-    pool.set_defaults(func=_cmd_pool)
-
-    plot = subparsers.add_parser(
-        "plot", help="build, classify and render a p-value plot (SVG + CSV + JSON)"
-    )
-    plot.add_argument("input", help="effect CSV path")
-    plot.add_argument(
-        "--method",
-        choices=[m.value for m in ConversionMethod],
-        default=ConversionMethod.LOG.value,
-        help="interval reading used to recover the standard error",
-    )
-    plot.add_argument(
-        "--alpha", type=float, default=0.05, help="significance threshold"
-    )
-    plot.add_argument("--outdir", default=".", help="directory for the artifacts")
-    plot.set_defaults(func=_cmd_plot)
-
-    count = subparsers.add_parser(
-        "count", help="per-paper multiple-testing search spaces (JSON out)"
-    )
-    count.add_argument("input", help="model-count CSV path")
-    count.add_argument(
-        "--alpha", type=float, default=0.05, help="false-positive rate per test"
-    )
-    count.add_argument("--output", default=None, help="output path (default stdout)")
-    count.set_defaults(func=_cmd_count)
-
-    cohort = subparsers.add_parser(
-        "cohort", help="expected false positives across a publication cohort"
-    )
-    cohort.add_argument("--publications", type=int, required=True)
-    cohort.add_argument(
-        "--median-nh",
-        type=int,
-        required=True,
-        help="median per-publication search space",
-    )
-    cohort.add_argument("--alpha", type=float, default=0.05)
-    cohort.add_argument("--output", default=None, help="output path (default stdout)")
-    cohort.set_defaults(func=_cmd_cohort)
-
-    simulate = subparsers.add_parser(
-        "simulate", help="seeded Monte Carlo calibration of the plot classifier"
-    )
-    simulate.add_argument(
-        "--config",
-        required=True,
-        help="JSON config: scenario, k, trials, seed, se_range, log_or, effect_fraction",
-    )
-    simulate.add_argument("--output", default=None, help="output path (default stdout)")
-    simulate.set_defaults(func=_cmd_simulate)
-
-    reproduce = subparsers.add_parser(
-        "reproduce",
-        help="recompute the bundled datasets' reference numbers and diff them",
-    )
-    reproduce.add_argument(
-        "--outdir", default=".", help="directory for reproduction.json and figures"
-    )
-    reproduce.set_defaults(func=_cmd_reproduce)
-
+    for name, (handler, help_text, arguments) in _COMMANDS.items():
+        command = subparsers.add_parser(name, help=help_text)
+        for argument, options in arguments.items():
+            command.add_argument(argument, **options)
+        command.set_defaults(func=handler)
     return parser
 
 

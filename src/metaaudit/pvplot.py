@@ -86,12 +86,10 @@ class PlotConfig:
             if not isinstance(value, (int, float)) or isinstance(value, bool) \
                     or not 0.0 < float(value) < 1.0:
                 raise ConfigError(f"{name} must be inside (0, 1), got {value!r}")
-        if not isinstance(self.bilinear_min_segment, int) or self.bilinear_min_segment < 2:
-            raise ConfigError(
-                f"bilinear_min_segment must be an integer >= 2, got {self.bilinear_min_segment!r}"
-            )
-        if not isinstance(self.min_points, int) or self.min_points < 1:
-            raise ConfigError(f"min_points must be an integer >= 1, got {self.min_points!r}")
+        for name, least in (("bilinear_min_segment", 2), ("min_points", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -69,18 +69,6 @@ def write_artifacts(outdir: Path, texts: dict[str, str]) -> None:
         write_text(outdir / name, text)
 
 
-def conversion_rows(effects: Sequence[EffectEstimate]) -> list[dict[str, Any]]:
-    """Per-row conversions under both conventions."""
-    return [
-        {
-            **asdict(e),
-            "p_natural": p_from_effect(e, ConversionMethod.NATURAL),
-            "p_log": p_from_effect(e, ConversionMethod.LOG),
-        }
-        for e in effects
-    ]
-
-
 def audit_report(
     digest: dict[str, Any],
     effects: Sequence[EffectEstimate],
@@ -93,14 +81,22 @@ def audit_report(
     """Full audit of one study set, every number regenerable from inputs.
 
     The config block holds the plot's alpha beside the classifier
-    thresholds it was judged by.
+    thresholds it was judged by; each conversion row carries its p-value
+    under both readings.
     """
     return {
         "version": __version__,
         "input": digest,
         "method": method.value,
         "config": {"alpha": plot.alpha, **asdict(config)},
-        "conversions": conversion_rows(effects),
+        "conversions": [
+            {
+                **asdict(e),
+                "p_natural": p_from_effect(e, ConversionMethod.NATURAL),
+                "p_log": p_from_effect(e, ConversionMethod.LOG),
+            }
+            for e in effects
+        ],
         "pooled": pooled,
         "plot": plot,
         "classification": classification,

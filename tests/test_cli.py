@@ -1,5 +1,6 @@
 """Command line behavior: outputs, exit codes, error reporting."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import metaaudit
-from metaaudit.cli import main
+from metaaudit.cli import build_parser, main
 from metaaudit.reproduce import fixture_path
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -48,6 +49,104 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+_HELP = (("-h", "--help"), "help", "==SUPPRESS==", None, None, False,
+         "show this help message and exit")
+_EFFECTS = ((), "input", None, None, None, True, "effect CSV path")
+_METHOD = (("--method",), "method", "log", None, ["natural", "log"], False,
+           "interval reading used to recover the standard error")
+_OUTPUT = (("--output",), "output", None, None, None, False, "output path (default stdout)")
+# Every action of every parser: option strings, dest, default, type name,
+# choices, required and help; then each subcommand's help and handler.
+PARSER_PIN = {
+    "": [
+        _HELP,
+        (("--version",), "version", "==SUPPRESS==", None, None, False,
+         "show program's version number and exit"),
+        ((), "command", None, None,
+         ["convert", "pool", "plot", "count", "cohort", "simulate", "reproduce"], True, None),
+    ],
+    "convert": [_HELP, _EFFECTS, _METHOD, _OUTPUT],
+    "pool": [
+        _HELP,
+        _EFFECTS,
+        (("--model",), "model", None, None, ["fixed", "dl"], True,
+         "fixed effect or DerSimonian-Laird random effects"),
+        (("--level",), "level", 0.95, "float", None, False, "confidence level (default 0.95)"),
+        _OUTPUT,
+    ],
+    "plot": [
+        _HELP,
+        _EFFECTS,
+        _METHOD,
+        (("--alpha",), "alpha", 0.05, "float", None, False, "significance threshold"),
+        (("--outdir",), "outdir", ".", None, None, False, "directory for the artifacts"),
+    ],
+    "count": [
+        _HELP,
+        ((), "input", None, None, None, True, "model-count CSV path"),
+        (("--alpha",), "alpha", 0.05, "float", None, False, "false-positive rate per test"),
+        _OUTPUT,
+    ],
+    "cohort": [
+        _HELP,
+        (("--publications",), "publications", None, "int", None, True, None),
+        (("--median-nh",), "median_nh", None, "int", None, True,
+         "median per-publication search space"),
+        (("--alpha",), "alpha", 0.05, "float", None, False, None),
+        _OUTPUT,
+    ],
+    "simulate": [
+        _HELP,
+        (("--config",), "config", None, None, None, True,
+         "JSON config: scenario, k, trials, seed, se_range, log_or, effect_fraction"),
+        _OUTPUT,
+    ],
+    "reproduce": [
+        _HELP,
+        (("--outdir",), "outdir", ".", None, None, False,
+         "directory for reproduction.json and figures"),
+    ],
+}
+SUBCOMMAND_PIN = {
+    "convert": ("convert OR/CI rows to two-sided p-values (CSV out)", "_cmd_convert"),
+    "pool": ("pool a study set with inverse-variance weights (JSON out)", "_cmd_pool"),
+    "plot": ("build, classify and render a p-value plot (SVG + CSV + JSON)", "_cmd_plot"),
+    "count": ("per-paper multiple-testing search spaces (JSON out)", "_cmd_count"),
+    "cohort": ("expected false positives across a publication cohort", "_cmd_cohort"),
+    "simulate": ("seeded Monte Carlo calibration of the plot classifier", "_cmd_simulate"),
+    "reproduce": ("recompute the bundled datasets' reference numbers and diff them",
+                  "_cmd_reproduce"),
+}
+
+
+def _actions(parser):
+    return [
+        (
+            tuple(action.option_strings),
+            action.dest,
+            action.default,
+            getattr(action.type, "__name__", action.type),
+            None if action.choices is None else list(action.choices),
+            action.required,
+            action.help,
+        )
+        for action in parser._actions
+    ]
+
+
+def test_parser_matches_pin():
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    described = {"": _actions(parser)}
+    described.update((name, _actions(sub)) for name, sub in subparsers.choices.items())
+    assert described == PARSER_PIN
+    helps = {action.dest: action.help for action in subparsers._choices_actions}
+    assert {
+        name: (helps[name], sub.get_default("func").__name__)
+        for name, sub in subparsers.choices.items()
+    } == SUBCOMMAND_PIN
 
 
 def test_convert_null_or_yields_p_one(tmp_path, capsys):
@@ -689,3 +788,28 @@ def test_artifact_matches_golden(tmp_path, capsys, golden, argv, artifact):
     argv = [arg.format(fixtures=fixtures, out=tmp_path) for arg in argv]
     assert main(argv) == 0
     assert (tmp_path / artifact).read_bytes() == (GOLDEN_DIR / golden).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convert", "{fixtures}/wheeze_effects.csv", "--method", "natural"],
+        ["pool", "{fixtures}/asthma_effects.csv", "--model", "dl", "--level", "0.9"],
+        ["count", "{fixtures}/hypothesis_counts.csv", "--alpha", "0.01"],
+        ["cohort", "--publications", "107", "--median-nh", "13824"],
+        ["simulate", "--config", "{out}/sim.json"],
+    ],
+    ids=["convert", "pool", "count", "cohort", "simulate"],
+)
+def test_stdout_dash_and_file_outputs_are_the_same_bytes(tmp_path, capsysbinary, argv):
+    (tmp_path / "sim.json").write_text(json.dumps(SIM_NULL), encoding="utf-8")
+    fixtures = fixture_path("asthma_effects.csv").parent
+    argv = [arg.format(fixtures=fixtures, out=tmp_path) for arg in argv]
+    assert main(argv) == 0
+    omitted = capsysbinary.readouterr().out
+    assert main([*argv, "--output", "-"]) == 0
+    assert capsysbinary.readouterr().out == omitted
+    assert main([*argv, "--output", str(tmp_path / "out")]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert (tmp_path / "out").read_bytes() == omitted
+    assert omitted

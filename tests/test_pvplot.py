@@ -409,6 +409,9 @@ def test_plot_config_validation():
         PlotConfig(bilinear_min_segment=1)
     with pytest.raises(ConfigError):
         PlotConfig(min_points=0)
+    # A bool is not a count, though Python treats True as the int 1.
+    with pytest.raises(ConfigError, match="min_points must be an integer >= 1, got True"):
+        PlotConfig(min_points=True)
 
 
 @pytest.mark.parametrize("name", ["asthma_plot.svg", "wheeze_plot.svg"])

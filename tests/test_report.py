@@ -11,7 +11,6 @@ from metaaudit import (
     PlotConfig,
     canonical_json,
     classify_plot,
-    conversion_rows,
     ingest_effects,
     plot_from_effects,
     pool_dersimonian_laird,
@@ -75,9 +74,28 @@ def test_file_digest_is_stable():
     assert len(first["sha256"]) == 64
 
 
-def test_conversion_rows_carry_both_conventions():
+def _asthma_audit():
     effects = ingest_effects(fixture_path("asthma_effects.csv"))
-    rows = conversion_rows(effects)
+    config = PlotConfig()
+    plot = plot_from_effects(effects, ConversionMethod.NATURAL)
+    classification = classify_plot(plot, config)
+    pooled = {
+        "fixed": pool_fixed(effects),
+        "dersimonian_laird": pool_dersimonian_laird(effects),
+    }
+    return audit_report(
+        effects.digest,
+        effects,
+        pooled,
+        plot,
+        classification,
+        config,
+        ConversionMethod.NATURAL,
+    )
+
+
+def test_conversion_rows_carry_both_conventions():
+    rows = _asthma_audit()["conversions"]
     assert len(rows) == 13
     for row in rows:
         assert 0.0 <= row["p_natural"] <= 1.0
@@ -87,23 +105,7 @@ def test_conversion_rows_carry_both_conventions():
 
 
 def test_audit_report_structure():
-    effects = ingest_effects(fixture_path("asthma_effects.csv"))
-    config = PlotConfig()
-    plot = plot_from_effects(effects, ConversionMethod.NATURAL)
-    classification = classify_plot(plot, config)
-    pooled = {
-        "fixed": pool_fixed(effects),
-        "dersimonian_laird": pool_dersimonian_laird(effects),
-    }
-    report = audit_report(
-        effects.digest,
-        effects,
-        pooled,
-        plot,
-        classification,
-        config,
-        ConversionMethod.NATURAL,
-    )
+    report = _asthma_audit()
     assert set(report) == {
         "version",
         "input",
