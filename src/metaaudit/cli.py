@@ -23,7 +23,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 from typing import Any
 
@@ -65,7 +64,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     writer = csv.DictWriter(buffer, (*EFFECT_COLUMNS, "ci_level", "p_value"), lineterminator="\n")
     writer.writeheader()
     for effect in effects:
-        writer.writerow({**asdict(effect), "p_value": p_from_effect(effect, method)})
+        writer.writerow({**effect._asdict(), "p_value": p_from_effect(effect, method)})
     _write_text(args.output, buffer.getvalue())
     return 0
 
@@ -121,7 +120,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         "alpha": args.alpha,
         "studies": [
             {
-                **asdict(study),
+                **study._asdict(),
                 "expected_false_positives": expected_false_positives(
                     study.search_space, args.alpha
                 ),
@@ -129,7 +128,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
             for study in studies
         ],
         "summary": {
-            **asdict(summary),
+            **summary._asdict(),
             "median_expected_false_positives": expected_false_positives(
                 summary.median, args.alpha
             ),
@@ -160,11 +159,11 @@ def _load_sim_config(path: str) -> SimulationConfig:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: simulation config must be a JSON object")
-    keys = fields(SimulationConfig)
-    unknown = sorted(set(raw) - {key.name for key in keys})
+    unknown = sorted(set(raw) - set(SimulationConfig._fields))
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    missing = sorted(key.name for key in keys if key.default is MISSING and key.name not in raw)
+    required = set(SimulationConfig._fields) - set(SimulationConfig._field_defaults)
+    missing = sorted(required - set(raw))
     if missing:
         raise ConfigError(f"{path}: missing config keys: {', '.join(missing)}")
     try:
@@ -180,7 +179,7 @@ def _load_sim_config(path: str) -> SimulationConfig:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     report = run_simulation(_load_sim_config(args.config))
-    return _emit(args.output, asdict(report))
+    return _emit(args.output, report._asdict())
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
@@ -209,6 +208,7 @@ _METHOD = {"--method": dict(choices=[m.value for m in ConversionMethod],
                             default=ConversionMethod.LOG.value,
                             help="interval reading used to recover the standard error")}
 _OUTPUT = {"--output": dict(help="output path (default stdout)")}
+_FP_RATE = {"--alpha": dict(type=float, default=0.05, help="false-positive rate per test")}
 
 # Each subcommand: its handler, its help, and the add_argument options of
 # each of its arguments, by name, in usage order. Library functions stay out
@@ -231,13 +231,14 @@ _COMMANDS = {
     }),
     "count": (_cmd_count, "per-paper multiple-testing search spaces (JSON out)", {
         "input": dict(help="model-count CSV path"),
-        "--alpha": dict(type=float, default=0.05, help="false-positive rate per test"),
+        **_FP_RATE,
         **_OUTPUT,
     }),
     "cohort": (_cmd_cohort, "expected false positives across a publication cohort", {
-        "--publications": dict(type=int, required=True),
+        "--publications": dict(type=int, required=True,
+                               help="number of publications in the cohort"),
         "--median-nh": dict(type=int, required=True, help="median per-publication search space"),
-        "--alpha": dict(type=float, default=0.05),
+        **_FP_RATE,
         **_OUTPUT,
     }),
     "simulate": (_cmd_simulate, "seeded Monte Carlo calibration of the plot classifier", {

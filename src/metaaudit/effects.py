@@ -19,10 +19,10 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .errors import DegenerateIntervalError, DomainError, InvalidIntervalError
+from .errors import CheckedRecord, DegenerateIntervalError, DomainError, InvalidIntervalError
 from .normal import std_normal_quantile, two_sided_p
 
 
@@ -33,15 +33,7 @@ class ConversionMethod(Enum):
     LOG = "log"
 
 
-@dataclass(frozen=True)
-class EffectEstimate:
-    """One study (or subgroup) estimate: odds ratio plus confidence interval.
-
-    The odds ratio is allowed to sit outside its own interval; several
-    published tables contain such rows, so this raises a warning rather
-    than an error.
-    """
-
+class _EffectEstimate(NamedTuple):
     study_label: str
     odds_ratio: float
     ci_low: float
@@ -49,7 +41,19 @@ class EffectEstimate:
     subgroup_label: str | None = None
     ci_level: float = 0.95
 
-    def __post_init__(self) -> None:
+
+class EffectEstimate(CheckedRecord, _EffectEstimate):
+    """One study (or subgroup) estimate: odds ratio plus confidence interval.
+
+    The odds ratio is allowed to sit outside its own interval; several
+    published tables contain such rows, so this raises a warning rather
+    than an error.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> EffectEstimate:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.study_label or not self.study_label.strip():
             raise DomainError("study_label must be a non-empty string", field="study_label")
         for name in ("odds_ratio", "ci_low", "ci_high", "ci_level"):
@@ -79,8 +83,9 @@ class EffectEstimate:
             warnings.warn(
                 f"{self.display_label()}: odds ratio {self.odds_ratio} lies "
                 f"outside its interval ({self.ci_low}, {self.ci_high})",
-                stacklevel=3,
+                stacklevel=2,
             )
+        return self
 
     def display_label(self) -> str:
         if self.subgroup_label:

@@ -1,4 +1,5 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and the base of the records
+whose constructors raise it.
 
 Every failure caused by caller input derives from AuditError so the command
 line layer can map it to exit code 2. Anything else escaping a command is a
@@ -6,6 +7,29 @@ bug and maps to exit code 1.
 """
 
 from __future__ import annotations
+
+from typing import Any, Iterable
+
+
+class CheckedRecord:
+    """Base of a NamedTuple record whose constructor checks its fields and
+    computes the last _computed of them. _make, _replace, copy and pickle
+    pass the constructor only the fields it takes, so none skips a check or
+    takes a computed field from the caller."""
+
+    __slots__ = ()
+    _computed = 0
+
+    @classmethod
+    def _make(cls, values: Iterable) -> Any:
+        return cls(*tuple(values)[:len(cls._fields) - cls._computed])
+
+    def _replace(self, **changes: Any) -> Any:
+        given = zip(self._fields[:len(self) - self._computed], self)
+        return type(self)(**{**dict(given), **changes})
+
+    def __getnewargs__(self) -> tuple:
+        return self[:len(self) - self._computed]
 
 
 class AuditError(ValueError):

@@ -12,9 +12,8 @@ same input produces bit-identical results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .effects import ConversionMethod, EffectEstimate, interval_multiplier, standard_error
 from .errors import EmptyInputError
@@ -26,8 +25,7 @@ class PoolingMethod(Enum):
     DERSIMONIAN_LAIRD = "dersimonian_laird"
 
 
-@dataclass(frozen=True)
-class PooledResult:
+class PooledResult(NamedTuple):
     """Pooled effect with heterogeneity statistics.
 
     Attributes

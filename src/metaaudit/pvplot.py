@@ -33,15 +33,14 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import add, mul, sub
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .effects import ConversionMethod, EffectEstimate, p_from_effect
-from .errors import ConfigError, DomainError, EmptyInputError
+from .errors import CheckedRecord, ConfigError, DomainError, EmptyInputError
 
 # SVG canvas, in pixels.
 _WIDTH = 640
@@ -64,14 +63,7 @@ class PlotVerdict(Enum):
     AMBIGUOUS = "ambiguous"
 
 
-@dataclass(frozen=True)
-class PlotConfig:
-    """Classifier thresholds for p-value plots.
-
-    The significance level is not here: it belongs to the plot itself
-    (PValuePlot.alpha), which the classifier reads.
-    """
-
+class _PlotConfig(NamedTuple):
     uniform_ks_threshold: float = 0.05
     uniform_count_level: float = 0.05
     effect_majority_fraction: float = 0.5
@@ -79,7 +71,18 @@ class PlotConfig:
     bilinear_rss_reduction: float = 0.5
     min_points: int = 5
 
-    def __post_init__(self) -> None:
+
+class PlotConfig(CheckedRecord, _PlotConfig):
+    """Classifier thresholds for p-value plots.
+
+    The significance level is not here: it belongs to the plot itself
+    (PValuePlot.alpha), which the classifier reads.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> PlotConfig:
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("uniform_ks_threshold", "uniform_count_level",
                      "effect_majority_fraction", "bilinear_rss_reduction"):
             value = getattr(self, name)
@@ -90,10 +93,10 @@ class PlotConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < least:
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class PlotPoint:
+class PlotPoint(NamedTuple):
     """One ranked p-value with its provenance label.
 
     negative_effect marks a point whose source odds ratio was below 1,
@@ -106,8 +109,7 @@ class PlotPoint:
     negative_effect: bool
 
 
-@dataclass(frozen=True)
-class PValuePlot:
+class PValuePlot(NamedTuple):
     """Ranked p-values: points sorted ascending by p, ties broken by label."""
 
     points: tuple[PlotPoint, ...]
@@ -116,8 +118,7 @@ class PValuePlot:
     alpha: float
 
 
-@dataclass(frozen=True)
-class PlotDiagnostics:
+class PlotDiagnostics(NamedTuple):
     """The statistics classify_plot computed, whichever rule fired.
 
     ks_statistic is the KS distance D from Uniform(0, 1) and ks_p its
@@ -135,8 +136,7 @@ class PlotDiagnostics:
     segment_slopes: tuple[float, float] | None
 
 
-@dataclass(frozen=True)
-class PlotClassification:
+class PlotClassification(NamedTuple):
     """A plot's verdict, from the first rule that fired, with its diagnostics."""
 
     verdict: PlotVerdict

@@ -2,16 +2,15 @@
 
 All JSON artifacts are emitted with sorted keys and floats rounded to six
 significant digits, so a report's bytes depend only on its content. Ints
-(including exact search-space counts) pass through untouched. Dataclasses
-serialize as objects of their fields and enums as their values, so result
-types go into a report as they are.
+(including exact search-space counts) pass through untouched. Records and
+dataclasses serialize as objects of their fields and enums as their values,
+so result types go into a report as they are.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
@@ -32,11 +31,15 @@ def _canonical_value(value: Any) -> Any:
         if not math.isfinite(value):
             raise DomainError(f"cannot serialize non-finite float {value!r}")
         return float(f"{value:.6g}")
+    if isinstance(value, tuple) and hasattr(value, "_asdict"):
+        value = value._asdict()
     if isinstance(value, dict):
         return {str(k): _canonical_value(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_canonical_value(v) for v in value]
-    if is_dataclass(value) and not isinstance(value, type):
+    # dataclasses.is_dataclass's own test; the module loads only when needed.
+    if hasattr(type(value), "__dataclass_fields__"):
+        from dataclasses import fields
         return {f.name: _canonical_value(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, Enum):
         return _canonical_value(value.value)
@@ -46,7 +49,8 @@ def _canonical_value(value: Any) -> Any:
 def canonical_json(payload: Any) -> str:
     """Deterministic JSON text: sorted keys, 6 significant digit floats.
 
-    Dicts, lists, tuples, dataclasses and enums may nest to any depth.
+    Dicts, lists, tuples, enums, records (NamedTuples) and dataclasses may
+    nest to any depth; a record or dataclass is an object of its fields.
     """
     return json.dumps(_canonical_value(payload), sort_keys=True, indent=2) + "\n"
 
@@ -88,10 +92,10 @@ def audit_report(
         "version": __version__,
         "input": digest,
         "method": method.value,
-        "config": {"alpha": plot.alpha, **asdict(config)},
+        "config": {"alpha": plot.alpha, **config._asdict()},
         "conversions": [
             {
-                **asdict(e),
+                **e._asdict(),
                 "p_natural": p_from_effect(e, ConversionMethod.NATURAL),
                 "p_log": p_from_effect(e, ConversionMethod.LOG),
             }

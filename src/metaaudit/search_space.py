@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .errors import DomainError, EmptyInputError, OverflowGuardError
+from .errors import CheckedRecord, DomainError, EmptyInputError, OverflowGuardError
 
 MAX_COVARIATES = 128
 
@@ -49,8 +48,15 @@ def block_search_space(outcomes: int, predictors: int, covariates: int) -> int:
     return space
 
 
-@dataclass(frozen=True)
-class CountBlock:
+class _CountBlock(NamedTuple):
+    block_label: str
+    outcomes: int
+    predictors: int
+    covariates: int
+    search_space: int
+
+
+class CountBlock(CheckedRecord, _CountBlock):
     """One block of models sharing outcome/predictor/covariate counts.
 
     Papers sometimes report several model families; each becomes a block
@@ -60,36 +66,36 @@ class CountBlock:
     search_space is the block's O * P * 2^C, set on construction.
     """
 
-    block_label: str
-    outcomes: int
-    predictors: int
-    covariates: int
-    search_space: int = field(init=False)
+    __slots__ = ()
+    _computed = 1
 
-    def __post_init__(self) -> None:
-        space = block_search_space(self.outcomes, self.predictors, self.covariates)
-        object.__setattr__(self, "search_space", space)
+    def __new__(cls, block_label: str, outcomes: int, predictors: int,
+                covariates: int) -> CountBlock:
+        space = block_search_space(outcomes, predictors, covariates)
+        return super().__new__(cls, block_label, outcomes, predictors, covariates, space)
 
 
-@dataclass(frozen=True)
-class StudyCounts:
-    """All counted model blocks of one paper; search_space is their sum."""
-
+class _StudyCounts(NamedTuple):
     paper_label: str
     region: str
     blocks: tuple[CountBlock, ...]
-    search_space: int = field(init=False)
+    search_space: int
 
-    def __post_init__(self) -> None:
-        if not self.paper_label or not self.paper_label.strip():
+
+class StudyCounts(CheckedRecord, _StudyCounts):
+    """All counted model blocks of one paper; search_space is their sum."""
+
+    __slots__ = ()
+    _computed = 1
+
+    def __new__(cls, paper_label: str, region: str, blocks: tuple[CountBlock, ...]) -> StudyCounts:
+        if not paper_label or not paper_label.strip():
             raise DomainError("paper_label must be a non-empty string")
-        if not self.blocks:
-            raise EmptyInputError(f"{self.paper_label}: a study needs at least one block")
-        total = sum(b.search_space for b in self.blocks)
-        _check_float_range(
-            f"{self.paper_label}: search space summed over blocks", total, "paper_label"
-        )
-        object.__setattr__(self, "search_space", total)
+        if not blocks:
+            raise EmptyInputError(f"{paper_label}: a study needs at least one block")
+        total = sum(b.search_space for b in blocks)
+        _check_float_range(f"{paper_label}: search space summed over blocks", total, "paper_label")
+        return super().__new__(cls, paper_label, region, blocks, total)
 
 
 def expected_false_positives(n_space: float, alpha: float) -> float:
@@ -122,10 +128,7 @@ def cohort_false_positives(
     return value
 
 
-@dataclass(frozen=True)
-class LedgerSummary:
-    """Distribution summary of per-paper search spaces; mean_rounded = round(mean)."""
-
+class _LedgerSummary(NamedTuple):
     n: int
     minimum: int
     lower_quartile: float
@@ -133,10 +136,19 @@ class LedgerSummary:
     upper_quartile: float
     maximum: int
     mean: float
-    mean_rounded: int = field(init=False)
+    mean_rounded: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mean_rounded", round(self.mean))
+
+class LedgerSummary(CheckedRecord, _LedgerSummary):
+    """Distribution summary of per-paper search spaces; mean_rounded = round(mean)."""
+
+    __slots__ = ()
+    _computed = 1
+
+    def __new__(cls, n: int, minimum: int, lower_quartile: float, median: float,
+                upper_quartile: float, maximum: int, mean: float) -> LedgerSummary:
+        return super().__new__(cls, n, minimum, lower_quartile, median, upper_quartile,
+                               maximum, mean, round(mean))
 
 
 def _interpolated_quantile(sorted_values: Sequence[int], q: float) -> float:

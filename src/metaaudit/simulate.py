@@ -42,10 +42,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .errors import ConfigError
+from .errors import CheckedRecord, ConfigError
 from .normal import std_normal_quantile, two_sided_p
 from .pcg64 import open_uniform, pcg64_stream, skip_open_uniforms, uniform
 from .pvplot import PlotConfig, PlotVerdict, build_plot, classify_plot
@@ -57,16 +57,7 @@ class Scenario(Enum):
     MIXTURE = "mixture"
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
-    """Parameters of one simulation run; the fields are the JSON config keys.
-
-    se_range is the (low, high) range of the uniform draw of per-study
-    standard errors. log_or is ignored for NULL; effect_fraction is used
-    only by MIXTURE. Numbers are stored as floats, so the config reads the
-    same in a report whether it was given ints or floats.
-    """
-
+class _SimulationConfig(NamedTuple):
     scenario: Scenario
     k: int
     trials: int
@@ -75,7 +66,20 @@ class SimulationConfig:
     log_or: float = 0.0
     effect_fraction: float = 1.0
 
-    def __post_init__(self) -> None:
+
+class SimulationConfig(CheckedRecord, _SimulationConfig):
+    """Parameters of one simulation run; the fields are the JSON config keys.
+
+    se_range is the (low, high) range of the uniform draw of per-study
+    standard errors. log_or is ignored for NULL; effect_fraction is used
+    only by MIXTURE. Numbers are stored as floats, so the config reads the
+    same in a report whether it was given ints or floats.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> SimulationConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if not isinstance(self.scenario, Scenario):
             raise ConfigError(f"scenario must be a Scenario, got {self.scenario!r}")
         if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
@@ -106,13 +110,10 @@ class SimulationConfig:
         shift = 0.0 if self.scenario is Scenario.NULL else abs(log_or)
         if not math.isfinite((shift + 9.0 * high) / low):
             raise ConfigError(f"log_or {log_or!r} makes the z draws overflow")
-        object.__setattr__(self, "se_range", (low, high))
-        object.__setattr__(self, "log_or", log_or)
-        object.__setattr__(self, "effect_fraction", effect_fraction)
+        return super().__new__(cls, *self[:4], (low, high), log_or, effect_fraction)
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(NamedTuple):
     """Aggregated classification results of a simulation run."""
 
     config: SimulationConfig

@@ -91,10 +91,11 @@ PARSER_PIN = {
     ],
     "cohort": [
         _HELP,
-        (("--publications",), "publications", None, "int", None, True, None),
+        (("--publications",), "publications", None, "int", None, True,
+         "number of publications in the cohort"),
         (("--median-nh",), "median_nh", None, "int", None, True,
          "median per-publication search space"),
-        (("--alpha",), "alpha", 0.05, "float", None, False, None),
+        (("--alpha",), "alpha", 0.05, "float", None, False, "false-positive rate per test"),
         _OUTPUT,
     ],
     "simulate": [
@@ -338,6 +339,28 @@ def test_hashlib_is_loaded_only_to_hash(tmp_path):
         env={**os.environ, "PYTHONPATH": str(package_root)},
     )
     assert (result.returncode, result.stdout) == (0, "True\nTrue\n"), result.stderr
+
+
+STARTUP_MODULES = """
+import sys
+import metaaudit.cli
+print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
+assert metaaudit.cli.main(["simulate", "--config", sys.argv[1], "--output", sys.argv[2]]) == 0
+print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
+"""
+
+
+def test_startup_and_simulate_load_neither_dataclasses_nor_inspect(tmp_path):
+    config = _write(tmp_path, "sim.json", json.dumps(SIM_NULL))
+    report = tmp_path / "report.json"
+    package_root = Path(metaaudit.__file__).parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", STARTUP_MODULES, config, str(report)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert (result.returncode, result.stdout) == (0, "[]\n[]\n"), result.stderr
 
 
 PACKAGE_CONTRACT = """

@@ -162,8 +162,19 @@ def test_or_outside_interval_warns_but_constructs():
     with pytest.warns(UserWarning, match="outside its interval") as caught:
         estimate = EffectEstimate("odd", 0.8, 0.9, 1.2)
     assert estimate.odds_ratio == 0.8
-    # Located at the caller, not inside the dataclass-generated __init__.
+    # Located at the caller, not inside the constructor.
     assert caught[0].filename == __file__
+
+
+def test_replace_and_make_check_like_the_constructor():
+    with pytest.raises(InvalidIntervalError, match="ci_low must be positive"):
+        EXAMPLE._replace(ci_low=-1.0)
+    with pytest.raises(DomainError, match="odds_ratio must be positive"):
+        EffectEstimate._make(("example", 0.0, 0.90, 2.43, None, 0.95))
+    with pytest.warns(UserWarning, match="outside its interval"):
+        EXAMPLE._replace(odds_ratio=3.0)
+    assert EXAMPLE._replace(odds_ratio=1.5) == EffectEstimate("example", 1.5, 0.90, 2.43)
+    assert type(EffectEstimate._make(EXAMPLE)) is EffectEstimate
 
 
 def test_degenerate_log_width():

@@ -412,6 +412,12 @@ def test_plot_config_validation():
     # A bool is not a count, though Python treats True as the int 1.
     with pytest.raises(ConfigError, match="min_points must be an integer >= 1, got True"):
         PlotConfig(min_points=True)
+    # _replace and _make build through the same checks.
+    with pytest.raises(ConfigError, match="min_points must be an integer >= 1, got True"):
+        PlotConfig()._replace(min_points=True)
+    with pytest.raises(ConfigError, match="uniform_ks_threshold must be inside"):
+        PlotConfig._make((1.0, 0.05, 0.5, 3, 0.5, 5))
+    assert PlotConfig()._replace(min_points=7) == PlotConfig(min_points=7)
 
 
 @pytest.mark.parametrize("name", ["asthma_plot.svg", "wheeze_plot.svg"])

@@ -1,20 +1,29 @@
 """Canonical JSON serialization and report assembly."""
 
+import copy
+import dataclasses
 import json
 import math
+import pickle
 
 import pytest
 
+import metaaudit
 from metaaudit import (
     ConversionMethod,
     DomainError,
     PlotConfig,
+    Scenario,
+    SimulationConfig,
     canonical_json,
     classify_plot,
+    ingest_counts,
     ingest_effects,
     plot_from_effects,
     pool_dersimonian_laird,
     pool_fixed,
+    run_simulation,
+    summarize_ledger,
 )
 from metaaudit.report import audit_report
 from metaaudit.reproduce import fixture_path, run_reproduction
@@ -56,6 +65,59 @@ def test_dataclasses_and_enums_serialize_as_fields_and_values():
         "k", "pooled_log_or", "pooled_se", "pooled_or", "ci_low", "ci_high",
         "p_value", "q_statistic", "tau_squared", "i_squared", "method", "ci_level",
     }
+
+
+@dataclasses.dataclass(frozen=True)
+class _UserRecord:
+    name: str
+    values: tuple
+    scenario: Scenario
+
+
+def test_user_dataclasses_serialize_as_objects_of_their_fields():
+    payload = {"record": _UserRecord("x", (0.1234567, _UserRecord("y", (), Scenario.NULL)),
+                                     Scenario.MIXTURE)}
+    assert json.loads(canonical_json(payload)) == {"record": {
+        "name": "x",
+        "values": [0.123457, {"name": "y", "values": [], "scenario": "null"}],
+        "scenario": "mixture",
+    }}
+    with pytest.raises(DomainError):
+        canonical_json(_UserRecord)
+
+
+def _every_record():
+    """One instance of each of the package's record types."""
+    effects = ingest_effects(fixture_path("asthma_effects.csv"))
+    plot = plot_from_effects(effects, ConversionMethod.NATURAL)
+    classification = classify_plot(plot, PlotConfig())
+    studies = ingest_counts(fixture_path("lungfunction_blocks.csv"))
+    config = SimulationConfig(Scenario.NULL, k=13, trials=2, seed=1)
+    return [
+        effects[0], pool_fixed(effects), PlotConfig(), plot.points[0], plot,
+        classification.diagnostics, classification, studies[0].blocks[0], studies[0],
+        summarize_ledger(studies), config, run_simulation(config),
+    ]
+
+
+RECORDS = _every_record()
+
+
+def test_every_exported_record_type_is_covered():
+    exported = (getattr(metaaudit, name) for name in metaaudit.__all__[1:])
+    records = {t for t in exported if isinstance(t, type) and issubclass(t, tuple)}
+    assert {type(record) for record in RECORDS} == records
+    assert len(records) == 12
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
+def test_every_record_copies_and_pickles(record):
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is type(record)
+        assert clone == record
+        assert repr(clone) == repr(record)
+        assert canonical_json(clone) == canonical_json(record)
+    assert json.loads(canonical_json(record)).keys() == record._asdict().keys()
 
 
 def test_serialization_is_deterministic():

@@ -12,6 +12,7 @@ from metaaudit import (
     CountBlock,
     DomainError,
     EmptyInputError,
+    LedgerSummary,
     OverflowGuardError,
     StudyCounts,
     block_search_space,
@@ -78,6 +79,26 @@ def test_study_validation():
         StudyCounts(paper_label="empty", region="test", blocks=())
     with pytest.raises(DomainError):
         StudyCounts(paper_label="  ", region="test", blocks=(CountBlock("b", 1, 1, 0),))
+
+
+def test_computed_fields_are_always_recomputed():
+    block = CountBlock("b", 2, 3, 4)
+    assert block._replace(outcomes=3).search_space == 3 * 3 * 16
+    assert CountBlock._make(("b", 2, 3, 4, 999)).search_space == 96
+    with pytest.raises(TypeError, match="search_space"):
+        block._replace(search_space=999)
+    with pytest.raises(DomainError):
+        block._replace(covariates=-1)
+    study = StudyCounts("p", "r", (block,))
+    assert study._replace(blocks=(block, block)).search_space == 192
+    assert StudyCounts._make(("p", "r", (block,), 1)).search_space == 96
+    with pytest.raises(EmptyInputError):
+        study._replace(blocks=())
+    summary = summarize_ledger([study])
+    assert summary._replace(mean=2.6).mean_rounded == 3
+    assert LedgerSummary._make((*summary[:6], 3.7, 0)).mean_rounded == 4
+    with pytest.raises(TypeError, match="mean_rounded"):
+        summary._replace(mean_rounded=0)
 
 
 def test_expected_false_positives_exact():

@@ -322,6 +322,18 @@ def test_config_stores_numbers_as_floats():
     assert [type(v) for v in (*config.se_range, config.log_or, config.effect_fraction)] == [float] * 4
 
 
+def test_config_replace_and_make_check_and_normalize():
+    config = _null()
+    with pytest.raises(ConfigError, match="k must be an integer >= 1"):
+        config._replace(k=0)
+    with pytest.raises(ConfigError, match="se_range needs 0 < low <= high"):
+        SimulationConfig._make((*config[:4], (2, 1), 0.0, 1.0))
+    changed = config._replace(se_range=[1, 2], log_or=0)
+    assert type(changed) is SimulationConfig
+    assert (changed.se_range, changed.log_or) == ((1.0, 2.0), 0.0)
+    assert type(changed.log_or) is float
+
+
 def test_trial_index_validation():
     config = _null()
     with pytest.raises(ConfigError):
