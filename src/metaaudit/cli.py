@@ -31,10 +31,10 @@ from .effects import ConversionMethod, p_from_effect
 from .errors import AuditError, ConfigError
 from .ingest import EFFECT_COLUMNS, ingest_counts, ingest_effects
 from .pooling import pool_dersimonian_laird, pool_fixed
-from .pvplot import PlotConfig, classify_plot, plot_from_effects, render_plot
-from .report import audit_report, canonical_json, write_artifacts, write_text
+from .pvplot import render_plot
+from .report import (audit_report, cohort_report, count_report, document_json, write_artifacts,
+                     write_text)
 from .reproduce import run_reproduction
-from .search_space import expected_false_positives, cohort_false_positives, summarize_ledger
 from .simulate import Scenario, SimulationConfig, run_simulation
 
 def _print_error(message: str) -> None:
@@ -52,8 +52,8 @@ def _write_text(output: str | None, text: str) -> None:
 
 
 def _emit(output: str | None, payload: dict[str, Any]) -> int:
-    """Write payload, stamped with the version, as canonical JSON."""
-    _write_text(output, canonical_json({**payload, "version": __version__}))
+    """Write payload as a version-stamped document."""
+    _write_text(output, document_json(payload))
     return 0
 
 
@@ -78,29 +78,13 @@ def _cmd_pool(args: argparse.Namespace) -> int:
 
 def _cmd_plot(args: argparse.Namespace) -> int:
     path = Path(args.input)
-    effects = ingest_effects(path)
-    method = ConversionMethod(args.method)
-    config = PlotConfig()
-    plot = plot_from_effects(effects, method, alpha=args.alpha)
-    classification = classify_plot(plot, config)
-    pooled = {
-        "fixed": pool_fixed(effects),
-        "dersimonian_laird": pool_dersimonian_laird(effects),
-    }
-    report = audit_report(
-        effects.digest,
-        effects,
-        pooled,
-        plot,
-        classification,
-        config,
-        method,
-    )
+    report = audit_report(ingest_effects(path), ConversionMethod(args.method), args.alpha)
+    plot, classification = report["plot"], report["classification"]
     outdir = Path(args.outdir)
     written = {
         f"{path.stem}_plot.svg": render_plot(plot, classification, path.stem, "svg"),
         f"{path.stem}_plot.csv": render_plot(plot, classification, path.stem, "csv"),
-        f"{path.stem}_audit.json": canonical_json(report),
+        f"{path.stem}_audit.json": document_json(report),
     }
     write_artifacts(outdir, written)
     print(
@@ -113,40 +97,11 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    studies = ingest_counts(args.input)
-    summary = summarize_ledger(studies)
-    payload = {
-        "input": studies.digest,
-        "alpha": args.alpha,
-        "studies": [
-            {
-                **study._asdict(),
-                "expected_false_positives": expected_false_positives(
-                    study.search_space, args.alpha
-                ),
-            }
-            for study in studies
-        ],
-        "summary": {
-            **summary._asdict(),
-            "median_expected_false_positives": expected_false_positives(
-                summary.median, args.alpha
-            ),
-        },
-    }
-    return _emit(args.output, payload)
+    return _emit(args.output, count_report(ingest_counts(args.input), args.alpha))
 
 
 def _cmd_cohort(args: argparse.Namespace) -> int:
-    value = cohort_false_positives(args.publications, args.median_nh, args.alpha)
-    payload = {
-        "publications": args.publications,
-        "median_search_space": args.median_nh,
-        "alpha": args.alpha,
-        "expected_false_positives": value,
-        "expected_false_positives_rounded": round(value),
-    }
-    return _emit(args.output, payload)
+    return _emit(args.output, cohort_report(args.publications, args.median_nh, args.alpha))
 
 
 def _load_sim_config(path: str) -> SimulationConfig:

@@ -1,10 +1,15 @@
-"""Canonical JSON serialization and report assembly.
+"""Canonical JSON serialization and the documents the commands write.
 
 All JSON artifacts are emitted with sorted keys and floats rounded to six
 significant digits, so a report's bytes depend only on its content. Ints
 (including exact search-space counts) pass through untouched. Records and
 dataclasses serialize as objects of their fields and enums as their values,
 so result types go into a report as they are.
+
+Three builders make the documents that the commands write and that
+``reproduce`` checks: ``audit_report`` (``plot``), ``count_report`` and
+``cohort_report``. ``document_json`` writes each document and is the one
+place that stamps the package ``version``; the built dicts carry none.
 """
 
 from __future__ import annotations
@@ -13,15 +18,15 @@ import json
 import math
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Any
 
 from . import __version__
-from .effects import ConversionMethod, EffectEstimate, p_from_effect
+from .effects import ConversionMethod, p_from_effect
 from .errors import DomainError, OutputFileError
-
-if TYPE_CHECKING:
-    from .pooling import PooledResult
-    from .pvplot import PlotClassification, PlotConfig, PValuePlot
+from .ingest import Ingested
+from .pooling import pool_dersimonian_laird, pool_fixed
+from .pvplot import PlotConfig, classify_plot, plot_from_effects
+from .search_space import cohort_false_positives, expected_false_positives, summarize_ledger
 
 
 def _canonical_value(value: Any) -> Any:
@@ -73,24 +78,26 @@ def write_artifacts(outdir: Path, texts: dict[str, str]) -> None:
         write_text(outdir / name, text)
 
 
-def audit_report(
-    digest: dict[str, Any],
-    effects: Sequence[EffectEstimate],
-    pooled: dict[str, PooledResult],
-    plot: PValuePlot,
-    classification: PlotClassification,
-    config: PlotConfig,
-    method: ConversionMethod,
-) -> dict[str, Any]:
-    """Full audit of one study set, every number regenerable from inputs.
+def document_json(payload: dict[str, Any]) -> str:
+    """A document's canonical JSON, stamped with the package version."""
+    return canonical_json({**payload, "version": __version__})
 
-    The config block holds the plot's alpha beside the classifier
-    thresholds it was judged by; each conversion row carries its p-value
-    under both readings.
+
+def audit_report(
+    effects: Ingested, method: ConversionMethod, alpha: float = 0.05
+) -> dict[str, Any]:
+    """Full audit of one effect table, every number regenerable from inputs.
+
+    The plot is judged under the default PlotConfig; the config block holds
+    the plot's alpha beside those thresholds. Each conversion row carries
+    its p-value under both readings.
     """
+    plot = plot_from_effects(effects, method, alpha=alpha)
+    config = PlotConfig()
+    classification = classify_plot(plot, config)
+    pooled = {"fixed": pool_fixed(effects), "dersimonian_laird": pool_dersimonian_laird(effects)}
     return {
-        "version": __version__,
-        "input": digest,
+        "input": effects.digest,
         "method": method.value,
         "config": {"alpha": plot.alpha, **config._asdict()},
         "conversions": [
@@ -104,4 +111,36 @@ def audit_report(
         "pooled": pooled,
         "plot": plot,
         "classification": classification,
+    }
+
+
+def count_report(studies: Ingested, alpha: float) -> dict[str, Any]:
+    """A ledger's per-paper search spaces N with alpha * N, and their summary."""
+    summary = summarize_ledger(studies)
+    return {
+        "input": studies.digest,
+        "alpha": alpha,
+        "studies": [
+            {
+                **study._asdict(),
+                "expected_false_positives": expected_false_positives(study.search_space, alpha),
+            }
+            for study in studies
+        ],
+        "summary": {
+            **summary._asdict(),
+            "median_expected_false_positives": expected_false_positives(summary.median, alpha),
+        },
+    }
+
+
+def cohort_report(publications: int, median_space: int, alpha: float) -> dict[str, Any]:
+    """Expected false positives across a cohort of publications."""
+    value = cohort_false_positives(publications, median_space, alpha)
+    return {
+        "publications": publications,
+        "median_search_space": median_space,
+        "alpha": alpha,
+        "expected_false_positives": value,
+        "expected_false_positives_rounded": round(value),
     }

@@ -22,14 +22,11 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any
 
-from . import __version__
 from .effects import ConversionMethod
-from .ingest import Ingested, ingest_counts, ingest_effects
-from .pooling import pool_dersimonian_laird, pool_fixed
-from .pvplot import (PlotClassification, PlotVerdict, PValuePlot, classify_plot,
-                     plot_from_effects, render_plot)
-from .report import canonical_json, write_artifacts
-from .search_space import cohort_false_positives, expected_false_positives, summarize_ledger
+from .ingest import ingest_counts, ingest_effects
+from .pooling import pool_fixed
+from .pvplot import PlotVerdict, render_plot
+from .report import audit_report, cohort_report, count_report, document_json, write_artifacts
 
 ALPHA = 0.05
 
@@ -144,22 +141,14 @@ def fixture_path(name: str) -> Path:
     return Path(__file__).parent / "fixtures" / name
 
 
-_EffectTable = tuple[Ingested, PValuePlot, PlotClassification]
-
-
-def _effect_table(dataset: str) -> _EffectTable:
-    """A bundled effect table: rows, NATURAL plot and its classification."""
-    effects = ingest_effects(fixture_path(f"{dataset}_effects.csv"))
-    plot = plot_from_effects(effects, ConversionMethod.NATURAL, alpha=ALPHA)
-    return effects, plot, classify_plot(plot)
-
-
 def run_reproduction(outdir: str | Path | None = None) -> dict[str, Any]:
     """Recompute every reference value and diff it against expectation.
 
-    Returns the diff as a JSON-ready dict. When outdir is given, writes
-    reproduction.json plus both figure SVGs there; repeated runs produce
-    byte-identical files.
+    Each computed value is read from a document that a command writes:
+    the NATURAL ``plot`` audits, the ``count`` reports and the ``cohort``
+    report, all at alpha = ALPHA. Returns the diff as a JSON-ready dict.
+    When outdir is given, writes reproduction.json plus both figure SVGs
+    there; repeated runs produce byte-identical files.
     """
     checks: list[dict[str, Any]] = []
 
@@ -184,19 +173,18 @@ def run_reproduction(outdir: str | Path | None = None) -> dict[str, Any]:
         )
 
     # Study-effect tables: p-values, plot counts, shape verdicts.
-    tables = {dataset: _effect_table(dataset) for dataset in FIGURE_FILES}
-    plots = {}
+    audits = {}
+    for dataset in FIGURE_FILES:
+        effects = ingest_effects(fixture_path(f"{dataset}_effects.csv"))
+        audits[dataset] = audit_report(effects, ConversionMethod.NATURAL, ALPHA)
+    plots = {dataset: audit["plot"] for dataset, audit in audits.items()}
     for dataset, expected_rows in (
         ("asthma", EXPECTED_ASTHMA_P),
         ("wheeze", EXPECTED_WHEEZE_P),
     ):
-        plot = tables[dataset][1]
-        plots[dataset] = plot
-        by_label = {point.label: point.p_value for point in plot.points}
+        by_label = {point.label: point.p_value for point in plots[dataset].points}
         for label, expected_p in expected_rows:
-            tolerance = (
-                FLAGGED_TOLERANCE if label in FLAGGED_ROWS else P_TOLERANCE
-            )
+            tolerance = FLAGGED_TOLERANCE if label in FLAGGED_ROWS else P_TOLERANCE
             check(f"p_{dataset}[{label}]", expected_p, by_label[label], tolerance)
 
     check("asthma_plot_points", 13, plots["asthma"].n, 0)
@@ -210,7 +198,7 @@ def run_reproduction(outdir: str | Path | None = None) -> dict[str, Any]:
     )
     check("wheeze_significant_negative", 4, significant_negative, 0)
     for dataset in ("asthma", "wheeze"):
-        verdict = tables[dataset][2].verdict
+        verdict = audits[dataset]["classification"].verdict
         check(
             f"{dataset}_verdict_not_effect_line",
             1,
@@ -220,44 +208,36 @@ def run_reproduction(outdir: str | Path | None = None) -> dict[str, Any]:
 
     # Informational random-effects pools on the full row sets.
     for dataset in ("asthma", "wheeze"):
-        pooled = pool_dersimonian_laird(tables[dataset][0])
+        pooled = audits[dataset]["pooled"]["dersimonian_laird"]
         targets = INFORMATIONAL_DL[dataset]
         check(f"{dataset}_dl_or", targets["or"], pooled.pooled_or, 0.0, gated=False)
         check(f"{dataset}_dl_ci_low", targets["ci_low"], pooled.ci_low, 0.0, gated=False)
         check(f"{dataset}_dl_ci_high", targets["ci_high"], pooled.ci_high, 0.0, gated=False)
 
     # Model-count ledger: per-paper spaces and distribution summary.
-    studies = ingest_counts(fixture_path("hypothesis_counts.csv"))
-    spaces = {study.paper_label: study.search_space for study in studies}
+    ledger = count_report(ingest_counts(fixture_path("hypothesis_counts.csv")), ALPHA)
+    spaces = {row["paper_label"]: row["search_space"] for row in ledger["studies"]}
     for label, expected_space in EXPECTED_SEARCH_SPACES:
         check(f"nh[{label}]", expected_space, spaces[label], 0)
-    summary = summarize_ledger(studies)
+    summary = ledger["summary"]
     for name, expected in EXPECTED_LEDGER_SUMMARY.items():
-        check(f"ledger_{name}", expected, getattr(summary, name), 0)
-    check(
-        "median_expected_fp",
-        EXPECTED_MEDIAN_FP,
-        expected_false_positives(summary.median, ALPHA),
-        0,
-    )
+        check(f"ledger_{name}", expected, summary[name], 0)
+    check("median_expected_fp", EXPECTED_MEDIAN_FP, summary["median_expected_false_positives"], 0)
 
     # Single-study block ledger.
-    lung = ingest_counts(fixture_path("lungfunction_blocks.csv"))
-    study = lung[0]
-    block_spaces = {block.block_label: block.search_space for block in study.blocks}
+    lung = count_report(ingest_counts(fixture_path("lungfunction_blocks.csv")), ALPHA)
+    study = lung["studies"][0]
+    block_spaces = {block.block_label: block.search_space for block in study["blocks"]}
     for label, expected_space in EXPECTED_LUNGFUNCTION_BLOCKS:
         check(f"block[{label}]", expected_space, block_spaces[label], 0)
-    check("lungfunction_total", EXPECTED_LUNGFUNCTION_TOTAL, study.search_space, 0)
-    check(
-        "lungfunction_expected_fp",
-        EXPECTED_LUNGFUNCTION_FP,
-        expected_false_positives(study.search_space, ALPHA),
-        0,
-    )
+    check("lungfunction_total", EXPECTED_LUNGFUNCTION_TOTAL, study["search_space"], 0)
+    lung_fp = study["expected_false_positives"]
+    check("lungfunction_expected_fp", EXPECTED_LUNGFUNCTION_FP, lung_fp, 0)
 
     # Cohort-level expected false positives.
-    cohort = cohort_false_positives(COHORT_PUBLICATIONS, COHORT_MEDIAN_SPACE, ALPHA)
-    check("cohort_fp_rounded", EXPECTED_COHORT_FP_ROUNDED, round(cohort), 0)
+    cohort = cohort_report(COHORT_PUBLICATIONS, COHORT_MEDIAN_SPACE, ALPHA)
+    rounded = cohort["expected_false_positives_rounded"]
+    check("cohort_fp_rounded", EXPECTED_COHORT_FP_ROUNDED, rounded, 0)
 
     # Fixed-effect combination of the two regional estimates.
     pair = ingest_effects(fixture_path("region_pair.csv"))
@@ -266,12 +246,12 @@ def run_reproduction(outdir: str | Path | None = None) -> dict[str, Any]:
     check("region_pool_ci_low", EXPECTED_REGION_POOL["ci_low"], pooled.ci_low, REGION_TOLERANCE)
     check("region_pool_ci_high", EXPECTED_REGION_POOL["ci_high"], pooled.ci_high, REGION_TOLERANCE)
 
-    inputs = (*(table[0] for table in tables.values()), studies, lung, pair)
-    fixtures = {rows.digest["file"]: rows.digest for rows in inputs}
+    digests = (*(audit["input"] for audit in audits.values()), ledger["input"], lung["input"],
+               pair.digest)
+    fixtures = {digest["file"]: digest for digest in digests}
     gated = [c for c in checks if c["gated"]]
     passed = [c for c in gated if c["pass"]]
     diff = {
-        "version": __version__,
         "fixtures": fixtures,
         "checks": checks,
         "summary": {
@@ -283,8 +263,11 @@ def run_reproduction(outdir: str | Path | None = None) -> dict[str, Any]:
     }
 
     if outdir is not None:
-        texts = {"reproduction.json": canonical_json(diff)}
+        texts = {"reproduction.json": document_json(diff)}
         for dataset, filename in FIGURE_FILES.items():
-            texts[filename] = render_plot(*tables[dataset][1:], FIGURE_TITLES[dataset], "svg")
+            audit = audits[dataset]
+            texts[filename] = render_plot(
+                audit["plot"], audit["classification"], FIGURE_TITLES[dataset], "svg"
+            )
         write_artifacts(Path(outdir), texts)
     return diff

@@ -9,7 +9,6 @@ within float range, because the ledger summary and alpha * N are floats.
 
 from __future__ import annotations
 
-import math
 import sys
 from typing import NamedTuple, Sequence
 
@@ -101,7 +100,8 @@ class StudyCounts(CheckedRecord, _StudyCounts):
 def expected_false_positives(n_space: float, alpha: float) -> float:
     """Expected count of false-positive analyses, alpha * N. N may be a
     ledger's interpolated median, so it need not be an integer."""
-    finite = isinstance(n_space, (int, float)) and 0 <= n_space < math.inf
+    # The largest float, not inf, bounds N: a larger int is finite but has no float.
+    finite = isinstance(n_space, (int, float)) and 0 <= n_space <= sys.float_info.max
     if isinstance(n_space, bool) or not finite:
         raise DomainError(f"n_space must be finite and >= 0, got {n_space!r}", field="n_space")
     if not 0.0 < alpha < 1.0:

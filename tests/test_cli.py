@@ -18,7 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 import metaaudit
 from metaaudit.cli import build_parser, main
-from metaaudit.reproduce import fixture_path
+from metaaudit.effects import ConversionMethod
+from metaaudit.ingest import ingest_counts, ingest_effects
+from metaaudit.report import audit_report, cohort_report, count_report
+from metaaudit.reproduce import fixture_path, run_reproduction
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SIM_NULL = {"scenario": "null", "k": 27, "trials": 20, "seed": 2027}
@@ -554,6 +557,10 @@ def test_plot_writes_three_artifacts(tmp_path, capsys):
          "3e995f74629dd1d07a1f33bfa93894790bb36719c396044c2a87b87295f2137f"),
         ("log", "asthma_effects_plot.csv",
          "094e51dc99867ebcd33fe5e2848a7a7024fddba5f5b304837706e555ff082aa7"),
+        ("natural", "asthma_effects_audit.json",
+         "6a27e627188407c28ff68518714eaf6fbb9f582f0df4002099793c8d2d04e2c1"),
+        ("log", "asthma_effects_audit.json",
+         "d262dff36bd1ffa208b4548c2f783ed751ba4984cd44bb2cc998843b53a8e1ba"),
     ],
 )
 def test_plot_artifact_pins(tmp_path, capsys, method, artifact, sha256):
@@ -768,6 +775,72 @@ def test_reproduce_passes_and_is_deterministic(tmp_path, capsys):
     assert report["summary"]["informational"] == 6
 
 
+def _written_documents(tmp_path):
+    """Each JSON document the commands write from the fixtures, by name."""
+    (tmp_path / "sim.json").write_text(json.dumps(SIM_NULL), encoding="utf-8")
+    fixtures = fixture_path("asthma_effects.csv").parent
+    runs = {
+        "pool.json": ["pool", f"{fixtures}/asthma_effects.csv", "--model", "dl"],
+        "count.json": ["count", f"{fixtures}/hypothesis_counts.csv"],
+        "count_lung.json": ["count", f"{fixtures}/lungfunction_blocks.csv"],
+        "cohort.json": ["cohort", "--publications", "107", "--median-nh", "13824"],
+        "simulate.json": ["simulate", "--config", f"{tmp_path}/sim.json"],
+    }
+    for name, argv in runs.items():
+        assert main([*argv, "--output", str(tmp_path / name)]) == 0
+    for dataset in ("asthma", "wheeze"):
+        argv = ["plot", f"{fixtures}/{dataset}_effects.csv", "--method", "natural"]
+        assert main([*argv, "--outdir", str(tmp_path)]) == 0
+    assert main(["reproduce", "--outdir", str(tmp_path)]) == 0
+    names = [*runs, "asthma_effects_audit.json", "wheeze_effects_audit.json", "reproduction.json"]
+    return {name: json.loads((tmp_path / name).read_text(encoding="utf-8")) for name in names}
+
+
+def test_version_is_stamped_once_when_a_document_is_written(tmp_path, capsys):
+    for name, document in _written_documents(tmp_path).items():
+        assert document["version"] == metaaudit.__version__, name
+    built = [
+        audit_report(ingest_effects(fixture_path("asthma_effects.csv")), ConversionMethod.NATURAL),
+        count_report(ingest_counts(fixture_path("hypothesis_counts.csv")), 0.05),
+        cohort_report(107, 13824, 0.05),
+        run_reproduction(),
+    ]
+    for payload in built:
+        assert "version" not in payload
+
+
+def test_reproduce_checks_what_the_commands_write(tmp_path, capsys):
+    documents = _written_documents(tmp_path)
+    reproduction = documents["reproduction.json"]
+    computed = {c["name"]: c["computed"] for c in reproduction["checks"]}
+    written = {}
+    count = documents["count.json"]
+    for study in count["studies"]:
+        written[f"nh[{study['paper_label']}]"] = study["search_space"]
+    for field in ("lower_quartile", "median", "upper_quartile", "maximum", "mean_rounded"):
+        written[f"ledger_{field}"] = count["summary"][field]
+    written["median_expected_fp"] = count["summary"]["median_expected_false_positives"]
+    lung = documents["count_lung.json"]["studies"][0]
+    written["lungfunction_total"] = lung["search_space"]
+    written["lungfunction_expected_fp"] = lung["expected_false_positives"]
+    written["cohort_fp_rounded"] = documents["cohort.json"]["expected_false_positives_rounded"]
+    for dataset in ("asthma", "wheeze"):
+        audit = documents[f"{dataset}_effects_audit.json"]
+        for point in audit["plot"]["points"]:
+            written[f"p_{dataset}[{point['label']}]"] = point["p_value"]
+        pooled = audit["pooled"]["dersimonian_laird"]
+        for name, field in (("or", "pooled_or"), ("ci_low", "ci_low"), ("ci_high", "ci_high")):
+            written[f"{dataset}_dl_{name}"] = pooled[field]
+    # 14 papers, 5 summary fields, 1 median FP, 2 lung-function, 1 cohort,
+    # 13 + 27 p-values and 6 DL bounds.
+    assert len(written) == 69
+    assert {name: computed[name] for name in written} == written
+    for name in ("count.json", "count_lung.json", "asthma_effects_audit.json",
+                 "wheeze_effects_audit.json"):
+        digest = documents[name]["input"]
+        assert reproduction["fixtures"][digest["file"]] == digest
+
+
 @pytest.mark.parametrize(
     "golden, argv, artifact",
     [
@@ -801,6 +874,16 @@ def test_reproduce_passes_and_is_deterministic(tmp_path, capsys):
             "wheeze_effects_convert_log.csv",
             ["convert", "{fixtures}/wheeze_effects.csv", "--method", "log", "--output", "{out}/convert.csv"],
             "convert.csv",
+        ),
+        (
+            "cohort.json",
+            ["cohort", "--publications", "107", "--median-nh", "13824", "--output", "{out}/cohort.json"],
+            "cohort.json",
+        ),
+        (
+            "lungfunction_blocks_count_alpha_0.01.json",
+            ["count", "{fixtures}/lungfunction_blocks.csv", "--alpha", "0.01", "--output", "{out}/count.json"],
+            "count.json",
         ),
     ],
 )

@@ -20,7 +20,6 @@ from metaaudit import (
     ingest_counts,
     ingest_effects,
     plot_from_effects,
-    pool_dersimonian_laird,
     pool_fixed,
     run_simulation,
     summarize_ledger,
@@ -138,22 +137,7 @@ def test_file_digest_is_stable():
 
 def _asthma_audit():
     effects = ingest_effects(fixture_path("asthma_effects.csv"))
-    config = PlotConfig()
-    plot = plot_from_effects(effects, ConversionMethod.NATURAL)
-    classification = classify_plot(plot, config)
-    pooled = {
-        "fixed": pool_fixed(effects),
-        "dersimonian_laird": pool_dersimonian_laird(effects),
-    }
-    return audit_report(
-        effects.digest,
-        effects,
-        pooled,
-        plot,
-        classification,
-        config,
-        ConversionMethod.NATURAL,
-    )
+    return audit_report(effects, ConversionMethod.NATURAL)
 
 
 def test_conversion_rows_carry_both_conventions():
@@ -169,7 +153,6 @@ def test_conversion_rows_carry_both_conventions():
 def test_audit_report_structure():
     report = _asthma_audit()
     assert set(report) == {
-        "version",
         "input",
         "method",
         "config",

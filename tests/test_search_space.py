@@ -116,7 +116,10 @@ def test_expected_false_positives_takes_an_interpolated_median():
     assert expected_false_positives(6.5, 0.05) == 0.325
 
 
-@pytest.mark.parametrize("bad", [-1, float("nan"), float("inf"), True, "10"])
+# 10**309 is a finite int beyond the float range.
+@pytest.mark.parametrize(
+    "bad", [-1, float("nan"), float("inf"), True, "10", pytest.param(10**309, id="10**309")]
+)
 def test_expected_false_positives_rejects_bad_space(bad):
     with pytest.raises(DomainError):
         expected_false_positives(bad, 0.05)
