@@ -51,7 +51,6 @@ _EXPORTS = {
     "classify_plot": "pvplot",
     "ks_pvalue": "pvplot",
     "ks_statistic": "pvplot",
-    "plot_from_effects": "pvplot",
     "render_plot": "pvplot",
     "audit_report": "report",
     "canonical_json": "report",

@@ -45,7 +45,8 @@ class _EffectEstimate(NamedTuple):
 class EffectEstimate(CheckedRecord, _EffectEstimate):
     """One study (or subgroup) estimate: odds ratio plus confidence interval.
 
-    The odds ratio is allowed to sit outside its own interval; several
+    A record has a usable level and a positive SE under both readings. The
+    odds ratio is allowed to sit outside its own interval; several
     published tables contain such rows, so this raises a warning rather
     than an error.
     """
@@ -75,10 +76,8 @@ class EffectEstimate(CheckedRecord, _EffectEstimate):
                 f"interval is inverted or empty: ({self.ci_low}, {self.ci_high})",
                 field="ci_high",
             )
-        if not 0.0 < self.ci_level < 1.0:
-            raise DomainError(
-                f"ci_level must be inside (0, 1), got {self.ci_level}", field="ci_level"
-            )
+        for method in ConversionMethod:
+            standard_error(self, method)
         if not self.ci_low <= self.odds_ratio <= self.ci_high:
             warnings.warn(
                 f"{self.display_label()}: odds ratio {self.odds_ratio} lies "
@@ -97,11 +96,15 @@ class EffectEstimate(CheckedRecord, _EffectEstimate):
 def interval_multiplier(ci_level: float) -> float:
     """Two-sided standard normal multiplier q for a confidence level.
 
-    Cached: nearly every row of a table shares one level.
+    Cached: nearly every row of a table shares one level. A level whose
+    1 - (1 - ci_level)/2 rounds to 0.5 or 1 has no multiplier and raises.
     """
     if not 0.0 < ci_level < 1.0:
         raise DomainError(f"ci_level must be inside (0, 1), got {ci_level!r}", field="ci_level")
-    return std_normal_quantile(1.0 - (1.0 - ci_level) / 2.0)
+    p = 1.0 - (1.0 - ci_level) / 2.0
+    if not 0.5 < p < 1.0:
+        raise DomainError(f"ci_level {ci_level!r} is too near 0 or 1", field="ci_level")
+    return std_normal_quantile(p)
 
 
 def standard_error(estimate: EffectEstimate, method: ConversionMethod) -> float:

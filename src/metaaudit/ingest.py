@@ -32,7 +32,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from .effects import ConversionMethod, EffectEstimate, standard_error
+from .effects import EffectEstimate
 from .errors import AuditError, CsvFormatError, EmptyInputError, InputFileError
 from .search_space import CountBlock, StudyCounts
 
@@ -184,8 +184,6 @@ def ingest_effects(path: str | Path) -> Ingested:
                     subgroup_label=row.get("subgroup_label") or None,
                     ci_level=fields.get("ci_level", 0.95),
                 )
-            for method in ConversionMethod:
-                standard_error(effect, method)
         except AuditError as exc:
             diagnostics.append((line, exc.field, str(exc)))
             continue

@@ -12,11 +12,12 @@ same input produces bit-identical results.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from typing import NamedTuple, Sequence
 
 from .effects import ConversionMethod, EffectEstimate, interval_multiplier, standard_error
-from .errors import EmptyInputError
+from .errors import EmptyInputError, OverflowGuardError
 from .normal import two_sided_p
 
 
@@ -124,13 +125,16 @@ def _result(
     ws = fixed if method is PoolingMethod.FIXED else [1.0 / (v + tau2) for v in vs]
     mean, se = _weighted_mean(ys, ws)
     mult = interval_multiplier(ci_level)
+    upper = mean + mult * se
+    if upper > math.log(sys.float_info.max):
+        raise OverflowGuardError(f"pooled upper limit exp({upper:.6g}) exceeds the float range")
     return PooledResult(
         k=len(ordered),
         pooled_log_or=mean,
         pooled_se=se,
         pooled_or=math.exp(mean),
         ci_low=math.exp(mean - mult * se),
-        ci_high=math.exp(mean + mult * se),
+        ci_high=math.exp(upper),
         p_value=two_sided_p(mean / se),
         q_statistic=q,
         tau_squared=tau2,

@@ -39,7 +39,6 @@ from itertools import accumulate, repeat
 from operator import add, mul, sub
 from typing import NamedTuple, Sequence
 
-from .effects import ConversionMethod, EffectEstimate, p_from_effect
 from .errors import CheckedRecord, ConfigError, DomainError, EmptyInputError
 
 # SVG canvas, in pixels.
@@ -183,17 +182,6 @@ def build_plot(
     )
     below = sum(1 for point in points if point.p_value < alpha)
     return PValuePlot(points=points, n=len(points), n_below_alpha=below, alpha=alpha)
-
-
-def plot_from_effects(
-    effects: Sequence[EffectEstimate],
-    method: ConversionMethod,
-    alpha: float = 0.05,
-) -> PValuePlot:
-    """Convert a study set and build its plot in one step."""
-    pairs = [(e.display_label(), p_from_effect(e, method)) for e in effects]
-    flags = [e.odds_ratio < 1.0 for e in effects]
-    return build_plot(pairs, alpha=alpha, negative=flags)
 
 
 @lru_cache(maxsize=64)

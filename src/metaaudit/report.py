@@ -25,7 +25,7 @@ from .effects import ConversionMethod, p_from_effect
 from .errors import DomainError, OutputFileError
 from .ingest import Ingested
 from .pooling import pool_dersimonian_laird, pool_fixed
-from .pvplot import PlotConfig, classify_plot, plot_from_effects
+from .pvplot import PlotConfig, build_plot, classify_plot
 from .search_space import cohort_false_positives, expected_false_positives, summarize_ledger
 
 
@@ -88,11 +88,17 @@ def audit_report(
 ) -> dict[str, Any]:
     """Full audit of one effect table, every number regenerable from inputs.
 
+    Each conversion row carries its p-value under both readings, and the
+    plot takes the chosen reading's column, flagging odds ratios below 1.
     The plot is judged under the default PlotConfig; the config block holds
-    the plot's alpha beside those thresholds. Each conversion row carries
-    its p-value under both readings.
+    the plot's alpha beside those thresholds.
     """
-    plot = plot_from_effects(effects, method, alpha=alpha)
+    conversions = [
+        {**e._asdict(), **{f"p_{m.value}": p_from_effect(e, m) for m in ConversionMethod}}
+        for e in effects
+    ]
+    pairs = [(e.display_label(), row[f"p_{method.value}"]) for e, row in zip(effects, conversions)]
+    plot = build_plot(pairs, alpha, [e.odds_ratio < 1.0 for e in effects])
     config = PlotConfig()
     classification = classify_plot(plot, config)
     pooled = {"fixed": pool_fixed(effects), "dersimonian_laird": pool_dersimonian_laird(effects)}
@@ -100,14 +106,7 @@ def audit_report(
         "input": effects.digest,
         "method": method.value,
         "config": {"alpha": plot.alpha, **config._asdict()},
-        "conversions": [
-            {
-                **e._asdict(),
-                "p_natural": p_from_effect(e, ConversionMethod.NATURAL),
-                "p_log": p_from_effect(e, ConversionMethod.LOG),
-            }
-            for e in effects
-        ],
+        "conversions": conversions,
         "pooled": pooled,
         "plot": plot,
         "classification": classification,

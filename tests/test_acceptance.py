@@ -27,7 +27,6 @@ from metaaudit import (
     ingest_counts,
     ingest_effects,
     p_from_effect,
-    plot_from_effects,
     pool_dersimonian_laird,
     pool_fixed,
     std_normal_cdf,
@@ -43,7 +42,7 @@ from metaaudit.reproduce import (
     fixture_path,
     run_reproduction,
 )
-from metaaudit.report import canonical_json
+from metaaudit.report import audit_report, canonical_json
 from metaaudit.simulate import Scenario, SimulationConfig, run_simulation
 
 mpmath.mp.dps = 50
@@ -143,12 +142,12 @@ def test_acceptance_3_inverse_variance_combination():
 
 @criterion(4, "figure counts, classifications and byte-stable SVGs")
 def test_acceptance_4_figures(tmp_path):
-    asthma = plot_from_effects(
+    asthma = audit_report(
         ingest_effects(fixture_path("asthma_effects.csv")), ConversionMethod.NATURAL
-    )
-    wheeze = plot_from_effects(
+    )["plot"]
+    wheeze = audit_report(
         ingest_effects(fixture_path("wheeze_effects.csv")), ConversionMethod.NATURAL
-    )
+    )["plot"]
     assert asthma.n == 13
     assert asthma.n_below_alpha == 1
     assert wheeze.n == 27

@@ -485,6 +485,69 @@ def test_any_effect_csv_bytes_convert_exits_0_or_2_naming_the_file(data, method)
         assert err.startswith(f"error: {path.name}")
 
 
+# Finite positive floats from the smallest subnormal up, and levels blank,
+# near 0, near 1 or anywhere inside (0, 1).
+_POSITIVE = st.floats(min_value=5e-324, max_value=1.7e308)
+_LEVEL = st.just("") | st.one_of(
+    st.floats(min_value=5e-324, max_value=1e-15),
+    st.floats(min_value=1.0 - 1e-15, max_value=1.0, exclude_max=True),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+).map(repr)
+_ROW = st.tuples(_POSITIVE, st.lists(_POSITIVE, min_size=2, max_size=2).map(sorted), _LEVEL)
+
+
+@settings(deadline=None, max_examples=80, derandomize=True)
+@given(st.lists(_ROW, min_size=1, max_size=3))
+def test_any_effect_rows_exit_0_or_2_at_a_named_column(rows):
+    body = "".join(
+        f"S{i},,{odds_ratio!r},{low!r},{high!r},{level}\n"
+        for i, (odds_ratio, (low, high), level) in enumerate(rows)
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "effects.csv"
+        path.write_bytes(_EFFECT_HEADER + body.encode())
+        for argv in (
+            ["convert", str(path), "--method", "natural"],
+            ["convert", str(path), "--method", "log"],
+            ["pool", str(path), "--model", "fixed"],
+            ["pool", str(path), "--model", "dl"],
+            ["plot", str(path), "--outdir", tmp],
+        ):
+            code, err = _run_quietly(argv)
+            assert code in (0, 2), (argv, err)
+            assert ":None:" not in err, (argv, err)
+
+
+@pytest.mark.parametrize("level", ["1e-17", "0.9999999999999999"])
+def test_a_level_without_a_multiplier_exits_2(tmp_path, capsys, level):
+    source = _write(tmp_path, "level.csv", f"{_EFFECT_HEADER.decode()}A,,1.5,1.1,2.0,{level}\n")
+    message = f"ci_level {level} is too near 0 or 1\n"
+    for argv in (
+        ["convert", source],
+        ["plot", source, "--outdir", str(tmp_path)],
+        ["pool", source, "--model", "fixed"],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: level.csv:2:ci_level: {message}"
+    for model in ("fixed", "dl"):
+        argv = ["pool", str(fixture_path("region_pair.csv")), "--model", model, "--level", level]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: --level: {message}"
+
+
+def test_pooled_upper_limit_beyond_float_range_exits_2(tmp_path, capsys):
+    source = _write(tmp_path, "big.csv", f"{_EFFECT_HEADER.decode()}A,,1e300,1e290,1e308,\n")
+    for argv in (
+        ["pool", source, "--model", "fixed"],
+        ["pool", source, "--model", "dl"],
+        ["plot", source, "--outdir", str(tmp_path)],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: pooled upper limit exp(711.499) exceeds the float range\n"
+        )
+
+
 def test_no_color_env_respected(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("NO_COLOR", "1")
     source = _write(

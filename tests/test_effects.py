@@ -5,7 +5,9 @@ scipy.stats.norm supplies an independent cross-check of every fixture row
 under both interval conventions.
 """
 
+import copy
 import math
+import pickle
 
 import pytest
 from scipy.stats import norm
@@ -41,6 +43,27 @@ def test_interval_multiplier_frozen_values():
 def test_interval_multiplier_domain(bad):
     with pytest.raises(DomainError):
         interval_multiplier(bad)
+
+
+# The extreme levels with a usable multiplier: below the first,
+# 1 - (1 - c)/2 rounds to 0.5 (q = 0); above the second, it rounds to 1.
+LOWEST_LEVEL = 1.6653345369377348e-16
+HIGHEST_LEVEL = math.nextafter(math.nextafter(1.0, 0.0), 0.0)
+
+
+def test_interval_multiplier_boundaries():
+    assert 0.0 < interval_multiplier(LOWEST_LEVEL) < 1e-15
+    assert interval_multiplier(HIGHEST_LEVEL) == pytest.approx(8.2095, abs=1e-4)
+    for level in (LOWEST_LEVEL, HIGHEST_LEVEL):
+        assert EffectEstimate("x", 1.5, 1.1, 2.0, ci_level=level).ci_level == level
+    for level in (math.nextafter(LOWEST_LEVEL, 0.0), 1e-17, 5e-324,
+                  math.nextafter(HIGHEST_LEVEL, 1.0)):
+        with pytest.raises(DomainError, match="too near 0 or 1") as info:
+            interval_multiplier(level)
+        assert info.value.field == "ci_level"
+        with pytest.raises(DomainError, match="too near 0 or 1") as info:
+            EffectEstimate("x", 1.5, 1.1, 2.0, ci_level=level)
+        assert info.value.field == "ci_level"
 
 
 def test_standard_error_natural_worked_example():
@@ -179,13 +202,24 @@ def test_replace_and_make_check_like_the_constructor():
 
 def test_degenerate_log_width():
     # Adjacent doubles whose logs collapse to the same value: the NATURAL
-    # reading still sees a width, the LOG reading has none left.
+    # reading still sees a width, the LOG reading has none left, so no way
+    # of building the record lets it exist.
     low = 1e300
     high = math.nextafter(low, math.inf)
-    estimate = EffectEstimate("tight", low, low, high)
-    assert standard_error(estimate, ConversionMethod.NATURAL) > 0.0
-    with pytest.raises(DegenerateIntervalError):
-        standard_error(estimate, ConversionMethod.LOG)
+    assert high - low > 0.0 and math.log(high) == math.log(low)
+    fields = ("tight", low, low, high, None, 0.95)
+    unchecked = tuple.__new__(EffectEstimate, fields)
+    builders = {
+        "constructor": lambda: EffectEstimate(*fields),
+        "_make": lambda: EffectEstimate._make(fields),
+        "_replace": lambda: EXAMPLE._replace(odds_ratio=low, ci_low=low, ci_high=high),
+        "copy": lambda: copy.copy(unchecked),
+        "pickle": lambda: pickle.loads(pickle.dumps(unchecked)),
+    }
+    for name, build in builders.items():
+        with pytest.raises(DegenerateIntervalError, match="interval width is zero") as info:
+            build()
+        assert info.value.field == "ci_high", name
 
 
 def test_display_label():

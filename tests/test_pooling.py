@@ -15,6 +15,7 @@ from scipy.stats import norm
 from metaaudit import (
     EffectEstimate,
     EmptyInputError,
+    OverflowGuardError,
     PoolingMethod,
     ingest_effects,
     pool_dersimonian_laird,
@@ -185,3 +186,13 @@ def test_empty_input_raises():
         pool_fixed([])
     with pytest.raises(EmptyInputError):
         pool_dersimonian_laird([])
+
+
+def test_pooled_upper_limit_beyond_float_range_raises():
+    # exp(mean + q * se) = exp(711.5) is beyond the float range.
+    effects = [EffectEstimate("A", 1e300, 1e290, 1e308)]
+    for pool in (pool_fixed, pool_dersimonian_laird):
+        with pytest.raises(OverflowGuardError, match="exceeds the float range"):
+            pool(effects)
+    # The same row pools at a level whose upper limit stays in range.
+    assert pool_fixed(effects, ci_level=0.5).ci_high < math.inf

@@ -7,6 +7,8 @@ files so any byte-level drift is caught.
 
 import hashlib
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -25,12 +27,12 @@ from metaaudit import (
     PlotConfig,
     PlotPoint,
     PlotVerdict,
+    audit_report,
     build_plot,
     classify_plot,
     ingest_effects,
     ks_pvalue,
     ks_statistic,
-    plot_from_effects,
     render_plot,
 )
 from metaaudit import pvplot
@@ -206,14 +208,14 @@ def test_ks_statistic_empty_raises():
 
 
 def test_fixture_verdicts():
-    asthma = plot_from_effects(
+    asthma = audit_report(
         ingest_effects(fixture_path("asthma_effects.csv")),
         ConversionMethod.NATURAL,
-    )
-    wheeze = plot_from_effects(
+    )["plot"]
+    wheeze = audit_report(
         ingest_effects(fixture_path("wheeze_effects.csv")),
         ConversionMethod.NATURAL,
-    )
+    )["plot"]
     assert (asthma.n, asthma.n_below_alpha) == (13, 1)
     assert (wheeze.n, wheeze.n_below_alpha) == (27, 6)
     assert classify_plot(asthma).verdict is PlotVerdict.UNIFORM45
@@ -474,7 +476,7 @@ def test_render_pins(n, alpha, negatives, classified, title, fmt, sha256):
 
 def test_rendering_is_deterministic():
     effects = ingest_effects(fixture_path("wheeze_effects.csv"))
-    plot = plot_from_effects(effects, ConversionMethod.NATURAL)
+    plot = audit_report(effects, ConversionMethod.NATURAL)["plot"]
     classification = classify_plot(plot)
     first = render_plot(plot, classification)
     second = render_plot(plot, classification)
@@ -496,7 +498,7 @@ def test_svg_marks_negative_directions(tmp_path):
 
 def test_csv_rendering():
     effects = ingest_effects(fixture_path("wheeze_effects.csv"))
-    plot = plot_from_effects(effects, ConversionMethod.NATURAL)
+    plot = audit_report(effects, ConversionMethod.NATURAL)["plot"]
     text = render_plot(plot, format="csv")
     lines = text.splitlines()
     assert lines[0] == "rank,label,p_value,below_alpha,negative_effect"
@@ -523,3 +525,16 @@ def test_title_and_alpha_label_rendered():
     svg = render_plot(plot, title="A <b> title")
     assert "A &lt;b&gt; title" in svg
     assert "alpha = 0.01" in svg
+
+
+def test_pvplot_loads_no_conversion_code():
+    # pvplot knows only p-values; turning (OR, CI) rows into them is effects' job.
+    code = "import sys, metaaudit.pvplot; print(sorted(m for m in sys.modules if 'metaaudit' in m))"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(pvplot.__file__).parent.parent)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "['metaaudit', 'metaaudit.errors', 'metaaudit.pvplot']\n"

@@ -19,7 +19,6 @@ from metaaudit import (
     classify_plot,
     ingest_counts,
     ingest_effects,
-    plot_from_effects,
     pool_fixed,
     run_simulation,
     summarize_ledger,
@@ -88,7 +87,7 @@ def test_user_dataclasses_serialize_as_objects_of_their_fields():
 def _every_record():
     """One instance of each of the package's record types."""
     effects = ingest_effects(fixture_path("asthma_effects.csv"))
-    plot = plot_from_effects(effects, ConversionMethod.NATURAL)
+    plot = audit_report(effects, ConversionMethod.NATURAL)["plot"]
     classification = classify_plot(plot, PlotConfig())
     studies = ingest_counts(fixture_path("lungfunction_blocks.csv"))
     config = SimulationConfig(Scenario.NULL, k=13, trials=2, seed=1)
@@ -148,6 +147,22 @@ def test_conversion_rows_carry_both_conventions():
         assert 0.0 <= row["p_log"] <= 1.0
     # The two readings disagree on real data; both must be present.
     assert any(abs(r["p_natural"] - r["p_log"]) > 0.01 for r in rows)
+
+
+def test_audit_plot_takes_its_p_values_from_the_conversions():
+    effects = ingest_effects(fixture_path("wheeze_effects.csv"))
+    for method in ConversionMethod:
+        report = audit_report(effects, method)
+        column = f"p_{method.value}"
+        rows = sorted(
+            (e.display_label(), row[column].hex(), e.odds_ratio < 1.0)
+            for e, row in zip(effects, report["conversions"])
+        )
+        points = sorted(
+            (point.label, point.p_value.hex(), point.negative_effect)
+            for point in report["plot"].points
+        )
+        assert points == rows, method
 
 
 def test_audit_report_structure():
