@@ -124,7 +124,9 @@ def cohort_false_positives(
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be inside (0, 1), got {alpha!r}", field="alpha")
     value = alpha * n_publications * median_space
-    _check_float_range("alpha * n_publications * median_space", value, None)
+    # Each factor fits a float, so an overflow is blamed on the larger one.
+    larger = "n_publications" if n_publications >= median_space else "median_space"
+    _check_float_range("alpha * n_publications * median_space", value, larger)
     return value
 
 

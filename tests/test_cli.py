@@ -518,6 +518,44 @@ def test_any_effect_rows_exit_0_or_2_at_a_named_column(rows):
             assert ":None:" not in err, (argv, err)
 
 
+_FLOAT_VALUES = ["nan", "inf", "-inf", "-0.0", "0", "1", "5e-324", "1e-17",
+                 "0.9999999999999999", "1e309", "x"]
+_INT_VALUES = ["0", "-1", str(10 ** 308), str(10 ** 309), str(10 ** 400), "1e3", "9" * 5000]
+# Each numeric flag: a command line that lacks only it, and its values.
+_FLAG_CASES = {
+    "plot --alpha": (["plot", "{fixtures}/asthma_effects.csv", "--outdir", "{out}"],
+                     _FLOAT_VALUES),
+    "count --alpha": (["count", "{fixtures}/hypothesis_counts.csv"], _FLOAT_VALUES),
+    "cohort --alpha": (["cohort", "--publications", "107", "--median-nh", "13824"],
+                       _FLOAT_VALUES),
+    "pool --level": (["pool", "{fixtures}/asthma_effects.csv", "--model", "fixed"],
+                     _FLOAT_VALUES),
+    "pool-dl --level": (["pool", "{fixtures}/asthma_effects.csv", "--model", "dl"],
+                        _FLOAT_VALUES),
+    "cohort --publications": (["cohort", "--median-nh", "13824"], _INT_VALUES),
+    "cohort --median-nh": (["cohort", "--publications", "107"], _INT_VALUES),
+}
+
+
+@pytest.mark.parametrize(
+    "command, value",
+    [(command, value) for command, (_, values) in _FLAG_CASES.items() for value in values],
+    ids=lambda item: item if len(item) < 30 else f"{len(item)}-digits",
+)
+def test_every_numeric_flag_exits_0_or_2_naming_the_flag(tmp_path, capsys, command, value):
+    fixtures = fixture_path("asthma_effects.csv").parent
+    flag = command.split()[1]
+    argv = [arg.format(fixtures=fixtures, out=tmp_path) for arg in _FLAG_CASES[command][0]]
+    try:
+        code = main([*argv, f"{flag}={value}"])
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 2), err
+    if code == 2:
+        assert err.startswith(f"error: {flag}:") or f"argument {flag}:" in err, err
+
+
 @pytest.mark.parametrize("level", ["1e-17", "0.9999999999999999"])
 def test_a_level_without_a_multiplier_exits_2(tmp_path, capsys, level):
     source = _write(tmp_path, "level.csv", f"{_EFFECT_HEADER.decode()}A,,1.5,1.1,2.0,{level}\n")
@@ -676,6 +714,49 @@ def test_pool_reads_a_pipe_once(tmp_path):
 _LEDGER_HEADER = "paper_label,region,block_label,outcomes,predictors,covariates\n"
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.binary() | st.binary().map(lambda body: _LEDGER_HEADER.encode() + body))
+def test_any_ledger_csv_bytes_count_exits_0_or_2_naming_the_file(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ledger.csv"
+        path.write_bytes(data)
+        code, err = _run_quietly(["count", str(path)])
+    assert code in (0, 2)
+    if code == 2:
+        assert err.startswith(f"error: {path.name}")
+
+
+# Valid blocks under shared labels, so that regions conflict and paper
+# sums overflow, mixed with rows whose labels may be blank or all-space and
+# whose counts run to the guards' edges (C = 128 and 129, N near and beyond
+# float range, an integer past the digit limit) or are not integers at all.
+_VALID_BLOCK = st.sampled_from([("2", "1", "3"), ("1_000", "2", "128"), (str(10 ** 308), "1", "0")])
+_COUNT = st.sampled_from(
+    ["1", "0", "-1", "128", "129", str(10 ** 308), str(10 ** 400), "9" * 5000, "1_000",
+     "abc", "2.5", ""]
+)
+_LEDGER_ROW = st.tuples(
+    st.sampled_from(["P0", "P1"]), st.sampled_from(["x", "y"]), _VALID_BLOCK
+) | st.tuples(
+    st.sampled_from(["P0", "P1", "", "   "]), st.sampled_from(["x", "y"]),
+    st.tuples(_COUNT, _COUNT, _COUNT),
+)
+
+
+@settings(deadline=None, max_examples=80, derandomize=True)
+@given(st.lists(_LEDGER_ROW, min_size=1, max_size=4))
+def test_any_ledger_rows_exit_0_or_2_at_a_named_column(rows):
+    body = "".join(f"{label},{region},m,{','.join(counts)}\n" for label, region, counts in rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ledger.csv"
+        path.write_bytes((_LEDGER_HEADER + body).encode())
+        code, err = _run_quietly(["count", str(path)])
+    assert code in (0, 2), err
+    assert ":None:" not in err, err
+    if code == 2:
+        assert err.startswith("error: ledger.csv:"), err
+
+
 @pytest.mark.parametrize(
     "rows, located",
     [
@@ -715,9 +796,12 @@ def test_count_integer_beyond_the_digit_limit_exits_2(tmp_path, capsys):
     [
         ("107", str(10 ** 400), "--median-nh"),
         (str(10 ** 400), "13824", "--publications"),
-        (str(10 ** 200), str(10 ** 200), "alpha * n_publications * median_space"),
+        # A product beyond float range names the larger factor's flag.
+        (str(10 ** 200), str(10 ** 200), "--publications: alpha * n_publications * median_space"),
+        (str(10 ** 308), "13824", "--publications: alpha * n_publications * median_space"),
+        ("107", str(10 ** 308), "--median-nh: alpha * n_publications * median_space"),
     ],
-    ids=["median", "publications", "product"],
+    ids=["median", "publications", "product", "product-publications", "product-median-nh"],
 )
 def test_cohort_beyond_float_range_exits_2(capsys, publications, median_nh, named):
     argv = ["cohort", "--publications", publications, "--median-nh", median_nh]

@@ -301,3 +301,69 @@ def test_long_bad_cells_are_echoed_cut_short(tmp_path):
         ingest_effects(path)
     message = str(info.value)
     assert message == f"long.csv:2:odds_ratio: {cell[:40]!r}... (204 characters) is not a number"
+
+
+def test_mixed_ledger_reports_every_row_then_paper_sums(tmp_path):
+    # Diagnostics run row by row; a paper's block-sum failure comes last, at its last row.
+    text = COUNT_HEADER + (
+        "P1,Europe,m,2,1,3\n"
+        f"P4,x,m1,{10 ** 308},1,0\n"
+        "P1,Asia,m2,2,1,3\n"
+        "P2,x,m,2.5,1,3\n"
+        "P3,x,m,2,1,200\n"
+        f"P4,x,m2,{10 ** 308},1,0\n"
+        "P5,x,m,abc,0,-1\n"
+        "P1,Europe,m3,4,5,6\n"
+    )
+    path = _write(tmp_path, "ledger.csv", text)
+    with pytest.raises(CsvFormatError) as info:
+        ingest_counts(path)
+    assert str(info.value) == (
+        "ledger.csv:4:region: conflicts with earlier region 'Europe'; "
+        "ledger.csv:5:outcomes: '2.5' is not an integer; "
+        "ledger.csv:6:covariates: covariates = 200 exceeds the guarded maximum of 128; "
+        "ledger.csv:8:outcomes: 'abc' is not an integer; "
+        "ledger.csv:7:paper_label: P4: search space summed over blocks exceeds the float range "
+        "(1.8e308)"
+    )
+
+
+def test_mixed_effect_table_reports_every_bad_cell(tmp_path):
+    text = EFFECT_HEADER + (
+        "A,,1.5,1.1,2.0,\n"
+        ",,x,1.1,2.0,\n"
+        "B,,1.5,2.0,1.0,\n"
+        "C,g,3.0,1.0,2.0,0.9\n"
+        "D,,1.5,1.1,2.0,abc\n"
+        "E,,0,1,2,\n"
+        "F,,1.5,1.1,2.0,95\n"
+        " ,,y,z,,w\n"
+    )
+    path = _write(tmp_path, "effects.csv", text)
+    with pytest.warns(UserWarning) as caught, pytest.raises(CsvFormatError) as info:
+        ingest_effects(path)
+    assert str(info.value) == (
+        "effects.csv:3:study_label: must not be empty; "
+        "effects.csv:3:odds_ratio: 'x' is not a number; "
+        "effects.csv:4:ci_high: interval is inverted or empty: (2.0, 1.0); "
+        "effects.csv:6:ci_level: 'abc' is not a number; "
+        "effects.csv:7:odds_ratio: odds_ratio must be positive, got 0.0; "
+        "effects.csv:8:ci_level: ci_level must be inside (0, 1), got 95.0; "
+        "effects.csv:9:study_label: must not be empty; "
+        "effects.csv:9:odds_ratio: 'y' is not a number; "
+        "effects.csv:9:ci_low: 'z' is not a number; "
+        "effects.csv:9:ci_high: '' is not a number; "
+        "effects.csv:9:ci_level: 'w' is not a number"
+    )
+    assert [(str(w.message), w.lineno) for w in caught] == [
+        ("C (g): odds ratio 3.0 lies outside its interval (1.0, 2.0)", 5)
+    ]
+
+
+def test_blank_paper_label_does_not_hide_the_other_bad_cells(tmp_path):
+    path = _write(tmp_path, "f.csv", COUNT_HEADER + ",x,m,abc,1,200\n")
+    with pytest.raises(CsvFormatError) as info:
+        ingest_counts(path)
+    assert str(info.value) == (
+        "f.csv:2:paper_label: must not be empty; f.csv:2:outcomes: 'abc' is not an integer"
+    )

@@ -152,8 +152,15 @@ def test_cohort_beyond_float_range_is_guarded():
     with pytest.raises(OverflowGuardError) as raised:
         cohort_false_positives(107, 10**400, 0.05)
     assert raised.value.field == "median_space"
-    with pytest.raises(OverflowGuardError):
-        cohort_false_positives(10**200, 10**200, 0.05)
+    # A product beyond float range is blamed on its larger factor, n_publications on a tie.
+    for n_publications, median_space, field in [
+        (10**200, 10**200, "n_publications"),
+        (10**308, 13824, "n_publications"),
+        (107, 10**308, "median_space"),
+    ]:
+        with pytest.raises(OverflowGuardError) as raised:
+            cohort_false_positives(n_publications, median_space, 0.05)
+        assert raised.value.field == field
 
 
 def test_quantile_interpolation():
