@@ -26,16 +26,18 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from . import __version__
+from . import __version__, _lazy
 from .effects import ConversionMethod, p_from_effect
 from .errors import AuditError, ConfigError
-from .ingest import EFFECT_COLUMNS, ingest_counts, ingest_effects
-from .pooling import pool_dersimonian_laird, pool_fixed
-from .pvplot import render_plot
-from .report import (audit_report, cohort_report, count_report, document_json, write_artifacts,
-                     write_text)
-from .reproduce import run_reproduction
-from .simulate import Scenario, SimulationConfig, run_simulation
+
+# Executed on first use, so a command loads only the modules it calls.
+ingest = _lazy("ingest")
+pooling = _lazy("pooling")
+pvplot = _lazy("pvplot")
+report = _lazy("report")
+reproduce = _lazy("reproduce")
+simulate = _lazy("simulate")
+
 
 def _print_error(message: str) -> None:
     prefix = "error:"
@@ -48,20 +50,22 @@ def _write_text(output: str | None, text: str) -> None:
     if output is None or output == "-":
         sys.stdout.write(text)
     else:
-        write_text(Path(output), text)
+        report.write_text(Path(output), text)
 
 
 def _emit(output: str | None, payload: dict[str, Any]) -> int:
     """Write payload as a version-stamped document."""
-    _write_text(output, document_json(payload))
+    _write_text(output, report.document_json(payload))
     return 0
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    effects = ingest_effects(args.input)
+    effects = ingest.ingest_effects(args.input)
     method = ConversionMethod(args.method)
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, (*EFFECT_COLUMNS, "ci_level", "p_value"), lineterminator="\n")
+    writer = csv.DictWriter(
+        buffer, (*ingest.EFFECT_COLUMNS, "ci_level", "p_value"), lineterminator="\n"
+    )
     writer.writeheader()
     for effect in effects:
         writer.writerow({**effect._asdict(), "p_value": p_from_effect(effect, method)})
@@ -70,23 +74,27 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_pool(args: argparse.Namespace) -> int:
-    effects = ingest_effects(args.input)
-    pool = pool_fixed if args.model == "fixed" else pool_dersimonian_laird
+    effects = ingest.ingest_effects(args.input)
+    pool = pooling.pool_fixed if args.model == "fixed" else pooling.pool_dersimonian_laird
     result = pool(effects, ci_level=args.level)
     return _emit(args.output, {"input": effects.digest, "result": result})
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
+    # pvplot is compiled here, before ingest hashes the table: compiled after
+    # sha256 has loaded OpenSSL, it raises the process's peak memory.
+    render_plot = pvplot.render_plot
     path = Path(args.input)
-    report = audit_report(ingest_effects(path), ConversionMethod(args.method), args.alpha)
-    plot, classification = report["plot"], report["classification"]
+    audit = report.audit_report(ingest.ingest_effects(path), ConversionMethod(args.method),
+                                args.alpha)
+    plot, classification = audit["plot"], audit["classification"]
     outdir = Path(args.outdir)
     written = {
         f"{path.stem}_plot.svg": render_plot(plot, classification, path.stem, "svg"),
         f"{path.stem}_plot.csv": render_plot(plot, classification, path.stem, "csv"),
-        f"{path.stem}_audit.json": document_json(report),
+        f"{path.stem}_audit.json": report.document_json(audit),
     }
-    write_artifacts(outdir, written)
+    report.write_artifacts(outdir, written)
     print(
         f"{path.stem}: {plot.n} p-values, {plot.n_below_alpha} below alpha, "
         f"verdict {classification.verdict.value}"
@@ -97,14 +105,14 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    return _emit(args.output, count_report(ingest_counts(args.input), args.alpha))
+    return _emit(args.output, report.count_report(ingest.ingest_counts(args.input), args.alpha))
 
 
 def _cmd_cohort(args: argparse.Namespace) -> int:
-    return _emit(args.output, cohort_report(args.publications, args.median_nh, args.alpha))
+    return _emit(args.output, report.cohort_report(args.publications, args.median_nh, args.alpha))
 
 
-def _load_sim_config(path: str) -> SimulationConfig:
+def _load_sim_config(path: str) -> simulate.SimulationConfig:
     """The config at path; its keys are SimulationConfig's fields."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -114,31 +122,32 @@ def _load_sim_config(path: str) -> SimulationConfig:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: simulation config must be a JSON object")
-    unknown = sorted(set(raw) - set(SimulationConfig._fields))
+    config_type = simulate.SimulationConfig
+    unknown = sorted(set(raw) - set(config_type._fields))
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    required = set(SimulationConfig._fields) - set(SimulationConfig._field_defaults)
+    required = set(config_type._fields) - set(config_type._field_defaults)
     missing = sorted(required - set(raw))
     if missing:
         raise ConfigError(f"{path}: missing config keys: {', '.join(missing)}")
     try:
-        raw["scenario"] = Scenario(raw["scenario"])
+        raw["scenario"] = simulate.Scenario(raw["scenario"])
     except ValueError:
-        valid = ", ".join(s.value for s in Scenario)
+        valid = ", ".join(s.value for s in simulate.Scenario)
         raise ConfigError(f"{path}: scenario must be one of: {valid}") from None
     try:
-        return SimulationConfig(**raw)
+        return config_type(**raw)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    report = run_simulation(_load_sim_config(args.config))
-    return _emit(args.output, report._asdict())
+    result = simulate.run_simulation(_load_sim_config(args.config))
+    return _emit(args.output, result._asdict())
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    diff = run_reproduction(args.outdir)
+    diff = reproduce.run_reproduction(args.outdir)
     summary = diff["summary"]
     outdir = Path(args.outdir)
     print(f"wrote {outdir / 'reproduction.json'} and 2 figure SVGs")
@@ -167,7 +176,9 @@ _FP_RATE = {"--alpha": dict(type=float, default=0.05, help="false-positive rate 
 
 # Each subcommand: its handler, its help, and the add_argument options of
 # each of its arguments, by name, in usage order. Library functions stay out
-# of this table: perfbench's tracer swaps only names looked up at call time.
+# of this table: a handler reads each from its lazy module when it runs, so
+# only that command's modules load, and a function patched on its module
+# (perfbench's tracer, unittest.mock.patch) is the one called.
 _COMMANDS = {
     "convert": (_cmd_convert, "convert OR/CI rows to two-sided p-values (CSV out)",
                 {**_EFFECTS, **_METHOD, **_OUTPUT}),

@@ -20,13 +20,15 @@ from enum import Enum
 from pathlib import Path
 from typing import Any
 
-from . import __version__
+from . import __version__, _lazy
 from .effects import ConversionMethod, p_from_effect
 from .errors import DomainError, OutputFileError
-from .ingest import Ingested
-from .pooling import pool_dersimonian_laird, pool_fixed
-from .pvplot import PlotConfig, build_plot, classify_plot
-from .search_space import cohort_false_positives, expected_false_positives, summarize_ledger
+
+# Executed on first use: cohort and simulate need none of the builders' modules.
+ingest = _lazy("ingest")
+pooling = _lazy("pooling")
+pvplot = _lazy("pvplot")
+search_space = _lazy("search_space")
 
 
 def _canonical_value(value: Any) -> Any:
@@ -84,7 +86,7 @@ def document_json(payload: dict[str, Any]) -> str:
 
 
 def audit_report(
-    effects: Ingested, method: ConversionMethod, alpha: float = 0.05
+    effects: ingest.Ingested, method: ConversionMethod, alpha: float = 0.05
 ) -> dict[str, Any]:
     """Full audit of one effect table, every number regenerable from inputs.
 
@@ -98,10 +100,13 @@ def audit_report(
         for e in effects
     ]
     pairs = [(e.display_label(), row[f"p_{method.value}"]) for e, row in zip(effects, conversions)]
-    plot = build_plot(pairs, alpha, [e.odds_ratio < 1.0 for e in effects])
-    config = PlotConfig()
-    classification = classify_plot(plot, config)
-    pooled = {"fixed": pool_fixed(effects), "dersimonian_laird": pool_dersimonian_laird(effects)}
+    plot = pvplot.build_plot(pairs, alpha, [e.odds_ratio < 1.0 for e in effects])
+    config = pvplot.PlotConfig()
+    classification = pvplot.classify_plot(plot, config)
+    pooled = {
+        "fixed": pooling.pool_fixed(effects),
+        "dersimonian_laird": pooling.pool_dersimonian_laird(effects),
+    }
     return {
         "input": effects.digest,
         "method": method.value,
@@ -113,9 +118,10 @@ def audit_report(
     }
 
 
-def count_report(studies: Ingested, alpha: float) -> dict[str, Any]:
+def count_report(studies: ingest.Ingested, alpha: float) -> dict[str, Any]:
     """A ledger's per-paper search spaces N with alpha * N, and their summary."""
-    summary = summarize_ledger(studies)
+    expected_false_positives = search_space.expected_false_positives
+    summary = search_space.summarize_ledger(studies)
     return {
         "input": studies.digest,
         "alpha": alpha,
@@ -135,7 +141,7 @@ def count_report(studies: Ingested, alpha: float) -> dict[str, Any]:
 
 def cohort_report(publications: int, median_space: int, alpha: float) -> dict[str, Any]:
     """Expected false positives across a cohort of publications."""
-    value = cohort_false_positives(publications, median_space, alpha)
+    value = search_space.cohort_false_positives(publications, median_space, alpha)
     return {
         "publications": publications,
         "median_search_space": median_space,

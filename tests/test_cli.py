@@ -366,6 +366,93 @@ def test_startup_and_simulate_load_neither_dataclasses_nor_inspect(tmp_path):
     assert (result.returncode, result.stdout) == (0, "[]\n[]\n"), result.stderr
 
 
+EXECUTED_MODULES = """
+import contextlib, io, sys, types
+import metaaudit.cli
+
+def executed():
+    # A registered but unread submodule keeps LazyLoader's class until first use.
+    return sorted(name.removeprefix("metaaudit.") for name, module in list(sys.modules.items())
+                  if name.startswith("metaaudit") and type(module) is types.ModuleType)
+
+print(executed())
+if len(sys.argv) > 1:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert metaaudit.cli.main(sys.argv[1:]) == 0
+    print(executed())
+"""
+_AT_IMPORT = {"metaaudit", "cli", "effects", "errors", "normal"}
+_ALL_MODULES = _AT_IMPORT | {"ingest", "pcg64", "pooling", "pvplot", "report", "reproduce",
+                             "search_space", "simulate"}
+
+
+@pytest.mark.parametrize(
+    "command, modules",
+    [
+        ([], _AT_IMPORT),
+        (["convert", "{asthma}"], _AT_IMPORT | {"ingest", "search_space"}),
+        (["pool", "{asthma}", "--model", "dl"],
+         _AT_IMPORT | {"ingest", "search_space", "pooling", "report"}),
+        (["count", "{ledger}"], _AT_IMPORT | {"ingest", "search_space", "report"}),
+        (["cohort", "--publications", "107", "--median-nh", "13824"],
+         _AT_IMPORT | {"report", "search_space"}),
+        (["simulate", "--config", "{config}"],
+         _AT_IMPORT | {"pcg64", "pvplot", "report", "simulate"}),
+        (["plot", "{asthma}", "--outdir", "{out}"],
+         _ALL_MODULES - {"pcg64", "simulate", "reproduce"}),
+        (["reproduce", "--outdir", "{out}"], _ALL_MODULES - {"pcg64", "simulate"}),
+    ],
+    ids=["import", "convert", "pool", "count", "cohort", "simulate", "plot", "reproduce"],
+)
+def test_each_command_executes_only_the_modules_it_uses(tmp_path, command, modules):
+    paths = {
+        "asthma": fixture_path("asthma_effects.csv"),
+        "ledger": fixture_path("hypothesis_counts.csv"),
+        "config": _write(tmp_path, "sim.json", json.dumps(SIM_NULL)),
+        "out": tmp_path / "out",
+    }
+    package_root = Path(metaaudit.__file__).parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", EXECUTED_MODULES, *(arg.format(**paths) for arg in command)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert (lines[0], lines[-1]) == (str(sorted(_AT_IMPORT)), str(sorted(modules)))
+
+
+PATCHED_ON_ITS_MODULE = """
+import sys
+from unittest import mock
+import metaaudit.cli
+ingest, simulate = sys.modules["metaaudit.ingest"], sys.modules["metaaudit.simulate"]
+table, config, output = sys.argv[1:]
+with mock.patch.object(ingest, "ingest_effects", wraps=ingest.ingest_effects) as spy:
+    assert metaaudit.cli.main(["pool", table, "--model", "fixed", "--output", output]) == 0
+    print(spy.call_count)
+with mock.patch.object(simulate, "run_simulation", wraps=simulate.run_simulation) as spy:
+    assert metaaudit.cli.main(["simulate", "--config", config, "--output", output]) == 0
+    print(spy.call_count)
+"""
+
+
+def test_cli_calls_a_function_patched_on_its_module_after_import(tmp_path):
+    # perfbench's tracer and unittest.mock.patch replace the module attribute.
+    config = _write(tmp_path, "sim.json", json.dumps(SIM_NULL))
+    table = fixture_path("asthma_effects.csv")
+    package_root = Path(metaaudit.__file__).parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", PATCHED_ON_ITS_MODULE, str(table), config,
+         str(tmp_path / "out.json")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert (result.returncode, result.stdout) == (0, "1\n1\n"), result.stderr
+
+
 PACKAGE_CONTRACT = """
 import sys
 import metaaudit
