@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import sys
 from pathlib import Path
@@ -81,8 +80,10 @@ def _cmd_pool(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    # pvplot is compiled here, before ingest hashes the table: compiled after
-    # sha256 has loaded OpenSSL, it raises the process's peak memory.
+    # pvplot is compiled here, before the table is read and the report built.
+    # With no bytecode cache, compiling it sets this command's peak memory,
+    # which is about 0.4 MB lower while little else is live; with a cache
+    # the order makes no difference.
     render_plot = pvplot.render_plot
     path = Path(args.input)
     audit = report.audit_report(ingest.ingest_effects(path), ConversionMethod(args.method),
@@ -114,6 +115,8 @@ def _cmd_cohort(args: argparse.Namespace) -> int:
 
 def _load_sim_config(path: str) -> simulate.SimulationConfig:
     """The config at path; its keys are SimulationConfig's fields."""
+    import json  # Only this reader parses JSON; report imports it to write.
+
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:

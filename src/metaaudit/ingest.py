@@ -36,9 +36,22 @@ import warnings
 from pathlib import Path
 from typing import Any, Callable
 
+from . import _lazy
 from .effects import EffectEstimate
 from .errors import AuditError, CsvFormatError, EmptyInputError, InputFileError
-from .search_space import CountBlock, StudyCounts
+
+# CPython's own SHA-256: hashlib would load OpenSSL's libcrypto, a few
+# milliseconds and megabytes per process, to hash a table of a few kB.
+try:
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
+# Only count files need it; executed on first use.
+search_space = _lazy("search_space")
 
 # Cells echoed in error messages are cut to this many characters.
 _QUOTE_CHARS = 40
@@ -104,16 +117,13 @@ COUNT_COLUMNS = {
 
 class Ingested(list):
     """The records parsed from one file, in file order. digest is the
-    file's provenance: its name, the record count and the bytes' SHA-256.
-    hashlib is imported here, where it is used: loading it costs a process
-    a few milliseconds, and simulate and cohort never hash."""
+    file's provenance: its name, the record count and the hex SHA-256 of
+    the bytes, computed by CPython's built-in module, or by hashlib on a
+    build without one."""
 
     def __init__(self, records: list, name: str, data: bytes):
-        import hashlib
-
         super().__init__(records)
-        sha256 = hashlib.sha256(data).hexdigest()
-        self.digest = {"file": name, "rows": len(self), "sha256": sha256}
+        self.digest = {"file": name, "rows": len(self), "sha256": sha256(data).hexdigest()}
 
 
 def _read(
@@ -206,10 +216,10 @@ def ingest_counts(path: str | Path) -> Ingested:
     """
     path = Path(path)
     # Each paper's region and blocks, in first-appearance order.
-    papers: dict[str, tuple[str, list[CountBlock]]] = {}
+    papers: dict[str, tuple[str, list[search_space.CountBlock]]] = {}
 
     def add_block(paper_label: str, region: str, **counts: Any) -> str:
-        block = CountBlock(**counts)
+        block = search_space.CountBlock(**counts)
         first_region, blocks = papers.setdefault(paper_label, (region, []))
         if first_region != region:
             raise AuditError(f"conflicts with earlier region {first_region!r}", field="region")
@@ -221,7 +231,9 @@ def ingest_counts(path: str | Path) -> Ingested:
     studies = []
     for label, (region, blocks) in papers.items():
         try:
-            studies.append(StudyCounts(paper_label=label, region=region, blocks=tuple(blocks)))
+            studies.append(
+                search_space.StudyCounts(paper_label=label, region=region, blocks=tuple(blocks))
+            )
         except AuditError as exc:
             # A paper-level failure (its sum over blocks) is located at its last row.
             diagnostics.append((last_lines[label], exc.field, str(exc)))

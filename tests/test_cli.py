@@ -316,32 +316,67 @@ def test_numpy_is_never_imported(tmp_path, code):
     assert result.stdout == "False\n"
 
 
-HASHLIB_ON_USE = """
-import sys
-before = "hashlib" in sys.modules
-from metaaudit.cli import main
-from metaaudit.ingest import ingest_effects
-assert main(["simulate", "--config", sys.argv[1], "--output", sys.argv[2]]) == 0
-print(("hashlib" in sys.modules) == before)
-digest = ingest_effects(sys.argv[3]).digest["sha256"]
-import hashlib
-with open(sys.argv[3], "rb") as handle:
-    print(digest == hashlib.sha256(handle.read()).hexdigest())
+NO_OPENSSL = """
+import contextlib, io, sys
+import metaaudit.cli
+
+def loaded():
+    return sorted({"hashlib", "_hashlib", "json"} & set(sys.modules))
+
+print(loaded())
+# Each argument is one command, its words separated by tabs.
+for command in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert metaaudit.cli.main(command.split("\\t")) == 0
+    print(loaded())
 """
 
 
-def test_hashlib_is_loaded_only_to_hash(tmp_path):
-    config = _write(tmp_path, "sim.json", json.dumps(SIM_NULL))
-    report = tmp_path / "report.json"
-    table = fixture_path("asthma_effects.csv")
+def test_no_command_loads_openssl(tmp_path):
+    # Each command in turn; convert goes first, as json is loaded by the rest.
+    asthma, ledger = fixture_path("asthma_effects.csv"), fixture_path("hypothesis_counts.csv")
+    config, out = _write(tmp_path, "sim.json", json.dumps(SIM_NULL)), tmp_path / "out"
+    commands = [
+        ["convert", asthma],
+        ["pool", asthma, "--model", "dl"],
+        ["plot", asthma, "--outdir", out],
+        ["count", ledger],
+        ["cohort", "--publications", "107", "--median-nh", "13824"],
+        ["simulate", "--config", config],
+        ["reproduce", "--outdir", out],
+    ]
     package_root = Path(metaaudit.__file__).parent.parent
     result = subprocess.run(
-        [sys.executable, "-c", HASHLIB_ON_USE, config, str(report), str(table)],
+        [sys.executable, "-c", NO_OPENSSL, *("\t".join(map(str, c)) for c in commands)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(package_root)},
     )
-    assert (result.returncode, result.stdout) == (0, "True\nTrue\n"), result.stderr
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]", "[]"] + ["['json']"] * 6
+
+
+HASHLIB_FALLBACK = """
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from metaaudit.ingest import ingest_effects
+print("hashlib" in sys.modules)
+print(ingest_effects(sys.argv[1]).digest["sha256"])
+"""
+
+
+def test_digest_falls_back_to_hashlib_without_builtin_sha256():
+    table = fixture_path("asthma_effects.csv")
+    package_root = Path(metaaudit.__file__).parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", HASHLIB_FALLBACK, str(table)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert result.returncode == 0, result.stderr
+    digest = hashlib.sha256(table.read_bytes()).hexdigest()
+    assert result.stdout.splitlines() == ["True", digest]
 
 
 STARTUP_MODULES = """
@@ -390,16 +425,15 @@ _ALL_MODULES = _AT_IMPORT | {"ingest", "pcg64", "pooling", "pvplot", "report", "
     "command, modules",
     [
         ([], _AT_IMPORT),
-        (["convert", "{asthma}"], _AT_IMPORT | {"ingest", "search_space"}),
-        (["pool", "{asthma}", "--model", "dl"],
-         _AT_IMPORT | {"ingest", "search_space", "pooling", "report"}),
+        (["convert", "{asthma}"], _AT_IMPORT | {"ingest"}),
+        (["pool", "{asthma}", "--model", "dl"], _AT_IMPORT | {"ingest", "pooling", "report"}),
         (["count", "{ledger}"], _AT_IMPORT | {"ingest", "search_space", "report"}),
         (["cohort", "--publications", "107", "--median-nh", "13824"],
          _AT_IMPORT | {"report", "search_space"}),
         (["simulate", "--config", "{config}"],
          _AT_IMPORT | {"pcg64", "pvplot", "report", "simulate"}),
         (["plot", "{asthma}", "--outdir", "{out}"],
-         _ALL_MODULES - {"pcg64", "simulate", "reproduce"}),
+         _ALL_MODULES - {"pcg64", "search_space", "simulate", "reproduce"}),
         (["reproduce", "--outdir", "{out}"], _ALL_MODULES - {"pcg64", "simulate"}),
     ],
     ids=["import", "convert", "pool", "count", "cohort", "simulate", "plot", "reproduce"],

@@ -8,6 +8,7 @@ import pytest
 from metaaudit import (
     CsvFormatError,
     EmptyInputError,
+    Ingested,
     InputFileError,
     ingest_counts,
     ingest_effects,
@@ -132,6 +133,11 @@ def test_utf8_byte_order_mark_skipped(tmp_path):
     assert effects[0].study_label == "A 2001"
     # The digest hashes the bytes as read, mark included.
     assert effects.digest["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("data", [b"", bytes(range(256)) * 4097], ids=["empty", "over-1MB"])
+def test_digest_is_hashlib_sha256(data):
+    assert Ingested([], "x", data).digest["sha256"] == hashlib.sha256(data).hexdigest()
 
 
 def test_non_utf8_line_counted_after_byte_order_mark(tmp_path):
