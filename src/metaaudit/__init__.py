@@ -52,6 +52,7 @@ _EXPORTS = {
     "PlotPoint": "pvplot",
     "PlotVerdict": "pvplot",
     "PValuePlot": "pvplot",
+    "RankedPValues": "pvplot",
     "build_plot": "pvplot",
     "classify_plot": "pvplot",
     "ks_pvalue": "pvplot",

@@ -33,6 +33,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from bisect import bisect_left
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, repeat
@@ -108,6 +109,11 @@ class PlotPoint(NamedTuple):
     negative_effect: bool
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must be inside (0, 1), got {alpha!r}", field="alpha")
+
+
 class PValuePlot(NamedTuple):
     """Ranked p-values: points sorted ascending by p, ties broken by label."""
 
@@ -115,6 +121,41 @@ class PValuePlot(NamedTuple):
     n: int
     n_below_alpha: int
     alpha: float
+
+    @property
+    def p_values(self) -> tuple[float, ...]:
+        """The points' p-values, ascending."""
+        return tuple([point.p_value for point in self.points])
+
+
+class _RankedPValues(NamedTuple):
+    p_values: tuple[float, ...]
+    alpha: float
+    n: int
+    n_below_alpha: int
+
+
+class RankedPValues(CheckedRecord, _RankedPValues):
+    """A plot's p-values alone, ascending, with no labels or points.
+
+    It is what classify_plot reads of a PValuePlot, for callers with no
+    provenance to plot, such as a simulation trial. It rejects what
+    build_plot rejects, and also a p-value that is not a float; n and
+    n_below_alpha are computed, the second by bisection at alpha.
+    """
+
+    __slots__ = ()
+    _computed = 2
+
+    def __new__(cls, p_values: Sequence[float], alpha: float) -> RankedPValues:
+        if not p_values:
+            raise EmptyInputError("a p-value plot needs at least one p-value")
+        _check_alpha(alpha)
+        for p in p_values:
+            if not (isinstance(p, float) and 0.0 <= p <= 1.0):
+                raise DomainError(f"p must be a float in [0, 1], got {p!r}", field="p_values")
+        ordered = tuple(sorted(map(float, p_values)))
+        return super().__new__(cls, ordered, alpha, len(ordered), bisect_left(ordered, alpha))
 
 
 class PlotDiagnostics(NamedTuple):
@@ -161,8 +202,7 @@ def build_plot(
     """
     if not pvalues:
         raise EmptyInputError("a p-value plot needs at least one p-value")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be inside (0, 1), got {alpha!r}", field="alpha")
+    _check_alpha(alpha)
     if negative is None:
         negative = [False] * len(pvalues)
     if len(negative) != len(pvalues):
@@ -393,10 +433,14 @@ def _two_segment_fit(
 
 
 def classify_plot(
-    plot: PValuePlot, config: PlotConfig = PlotConfig()
+    plot: PValuePlot | RankedPValues, config: PlotConfig = PlotConfig()
 ) -> PlotClassification:
-    """Classify a plot's shape; see the module docstring for the rules."""
-    ps = [point.p_value for point in plot.points]
+    """Classify a plot's shape; see the module docstring for the rules.
+
+    plot is a PValuePlot or a RankedPValues: the classifier reads only its
+    p_values, which must be ascending, its n, n_below_alpha and alpha.
+    """
+    ps = plot.p_values
     n = plot.n
     below = plot.n_below_alpha
     fraction = below / n

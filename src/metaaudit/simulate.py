@@ -1,7 +1,8 @@
 """Seeded Monte Carlo study sets for calibrating the plot classifier.
 
 Each trial draws k synthetic studies, converts them to two-sided p-values
-and classifies the resulting p-value plot. Three scenarios are supported:
+and classifies them as their p-value plot, from the sorted p-values alone.
+Three scenarios are supported:
 
 * NULL: every study's true log odds ratio is 0.
 * FIXED_EFFECT: every study's true log odds ratio is log_or (log_or = 0 is
@@ -48,7 +49,10 @@ from typing import NamedTuple
 from .errors import CheckedRecord, ConfigError
 from .normal import std_normal_quantile, two_sided_p
 from .pcg64 import open_uniform, pcg64_stream, skip_open_uniforms, uniform
-from .pvplot import PlotConfig, PlotVerdict, build_plot, classify_plot
+from .pvplot import PlotConfig, PlotVerdict, RankedPValues, classify_plot
+
+# The significance level at which every trial's p-values are read.
+_ALPHA = 0.05
 
 
 class Scenario(Enum):
@@ -158,29 +162,31 @@ def simulate_trial(config: SimulationConfig, trial_index: int) -> tuple[float, .
 
 
 def run_simulation(config: SimulationConfig) -> SimulationReport:
-    """Run all trials, classify each plot and aggregate.
+    """Run all trials, classify each trial's p-values and aggregate.
 
-    The verdict histogram always sums to config.trials. KS aggregates are
-    the per-trial mean statistic, mean asymptotic p and the fraction of
-    trials whose KS p clears the uniform threshold, all read from the
-    classifier's diagnostics.
+    Each trial's p-values are classified as a RankedPValues at _ALPHA,
+    with no labelled plot. The verdict histogram always sums to
+    config.trials. KS aggregates are the per-trial mean statistic, mean
+    asymptotic p and the fraction of trials whose KS p clears the uniform
+    threshold, summed from three columns of the classifier's diagnostics.
     """
     plot_config = PlotConfig()
     counts: dict[str, int] = {v.value: 0 for v in PlotVerdict}
-    diagnostics = []
-    labels = [f"study-{i:03d}" for i in range(1, config.k + 1)]
+    fractions, statistics, ks_ps = [], [], []
     for trial in range(config.trials):
-        ps = simulate_trial(config, trial)
-        classification = classify_plot(build_plot(list(zip(labels, ps))), plot_config)
-        counts[classification.verdict.value] += 1
-        diagnostics.append(classification.diagnostics)
+        ranked = RankedPValues(simulate_trial(config, trial), _ALPHA)
+        verdict, diagnostics = classify_plot(ranked, plot_config)
+        counts[verdict.value] += 1
+        fractions.append(diagnostics.fraction_below_alpha)
+        statistics.append(diagnostics.ks_statistic)
+        ks_ps.append(diagnostics.ks_p)
     threshold = plot_config.uniform_ks_threshold
     n = config.trials
     return SimulationReport(
         config=config,
         verdict_counts=counts,
-        mean_fraction_below_alpha=math.fsum(d.fraction_below_alpha for d in diagnostics) / n,
-        mean_ks_statistic=math.fsum(d.ks_statistic for d in diagnostics) / n,
-        mean_ks_p=math.fsum(d.ks_p for d in diagnostics) / n,
-        fraction_ks_pass=sum(1 for d in diagnostics if d.ks_p >= threshold) / n,
+        mean_fraction_below_alpha=math.fsum(fractions) / n,
+        mean_ks_statistic=math.fsum(statistics) / n,
+        mean_ks_p=math.fsum(ks_ps) / n,
+        fraction_ks_pass=sum(1 for ks_p in ks_ps if ks_p >= threshold) / n,
     )

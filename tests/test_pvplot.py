@@ -5,9 +5,11 @@ are exercised at their decision boundaries; rendering is held to golden
 files so any byte-level drift is caught.
 """
 
+import copy
 import hashlib
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +17,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import scipy.special
 import scipy.stats
 
@@ -27,6 +29,7 @@ from metaaudit import (
     PlotConfig,
     PlotPoint,
     PlotVerdict,
+    RankedPValues,
     audit_report,
     build_plot,
     classify_plot,
@@ -84,6 +87,92 @@ def test_build_plot_validation():
         build_plot([("a", 0.5)], alpha=0.0)
     with pytest.raises(DomainError):
         build_plot([("a", 0.5)], negative=[True, False])
+
+
+def test_ranked_p_values_sorts_and_counts_below_alpha():
+    ranked = RankedPValues((0.5, 0.05, 1.0, 0.0, 0.01, 0.05), 0.05)
+    assert ranked.p_values == (0.0, 0.01, 0.05, 0.05, 0.5, 1.0)
+    assert (ranked.n, ranked.n_below_alpha, ranked.alpha) == (6, 2, 0.05)
+    assert RankedPValues._make(ranked) == ranked
+    assert ranked._replace(alpha=0.5).n_below_alpha == 4
+    with pytest.raises(TypeError):
+        ranked._replace(n_below_alpha=0)
+
+
+_REJECTED_BY_BOTH = [
+    ((), 0.05, EmptyInputError),
+    ((0.5, math.nan), 0.05, DomainError),
+    ((math.inf,), 0.05, DomainError),
+    ((-math.inf, 0.5), 0.05, DomainError),
+    ((True,), 0.05, DomainError),
+    (("0.5",), 0.05, DomainError),
+    ((0.5, math.nextafter(0.0, -1.0)), 0.05, DomainError),
+    ((math.nextafter(1.0, 2.0),), 0.05, DomainError),
+    ((0.5,), 0.0, DomainError),
+    ((0.5,), 1.0, DomainError),
+    ((0.5,), -0.05, DomainError),
+    ((0.5,), math.nan, DomainError),
+    ((0.5,), True, DomainError),
+]
+
+
+@pytest.mark.parametrize(
+    "ps, alpha, error",
+    [*_REJECTED_BY_BOTH, ((1,), 0.05, DomainError), ((0.5, 0), 0.05, DomainError)],
+)
+def test_ranked_p_values_rejections_hold_however_the_record_is_built(ps, alpha, error):
+    # A p-value must be a float: the record takes a trial's draws, never ints.
+    unchecked = tuple.__new__(RankedPValues, (ps, alpha, len(ps), 0))
+    builders = {
+        "constructor": lambda: RankedPValues(ps, alpha),
+        "_make": lambda: RankedPValues._make((ps, alpha)),
+        "_replace": lambda: RankedPValues((0.5,), 0.05)._replace(p_values=ps, alpha=alpha),
+        "copy": lambda: copy.copy(unchecked),
+        "pickle": lambda: pickle.loads(pickle.dumps(unchecked)),
+    }
+    for name, build in builders.items():
+        try:
+            build()
+        except error:
+            continue
+        pytest.fail(f"{name} accepted p-values {ps!r} at alpha {alpha!r}")
+
+
+@pytest.mark.parametrize("ps, alpha, error", _REJECTED_BY_BOTH)
+def test_build_plot_rejects_what_ranked_p_values_rejects(ps, alpha, error):
+    with pytest.raises(error):
+        build_plot(_labeled(ps), alpha)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(min_value=0.0, max_value=1.0),
+            st.sampled_from([0.0, 0.01, 0.05, 0.5, 1.0]),
+        ),
+        min_size=1, max_size=40,
+    ),
+    st.one_of(
+        st.sampled_from([0.05, 0.5]),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    ),
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=1, max_value=12),
+)
+@example([0.5, 0.01], 0.05, 3, 5)
+@example([0.05] * 5, 0.05, 3, 5)
+@example([1.0, 0.0, 0.05, 0.0, 1.0, 0.5, 0.5], 0.05, 3, 5)
+@example([0.0] * 6 + [1.0] * 6, 0.5, 3, 5)
+def test_ranked_p_values_classify_as_their_plot_bit_for_bit(ps, alpha, min_segment, min_points):
+    # Ties, the ends 0.0 and 1.0, n below min_points and n below
+    # 2 * bilinear_min_segment all occur; labels run against the p order.
+    config = PlotConfig(bilinear_min_segment=min_segment, min_points=min_points)
+    plot = build_plot([(f"s{len(ps) - i:03d}", p) for i, p in enumerate(ps)], alpha)
+    ranked = RankedPValues(ps, alpha)
+    assert ranked.p_values == plot.p_values
+    assert ranked[1:] == (plot.alpha, plot.n, plot.n_below_alpha)
+    assert repr(classify_plot(ranked, config)) == repr(classify_plot(plot, config))
 
 
 def test_ks_statistic_matches_scipy():

@@ -13,6 +13,7 @@ from metaaudit import (
     ConversionMethod,
     DomainError,
     PlotConfig,
+    RankedPValues,
     Scenario,
     SimulationConfig,
     canonical_json,
@@ -93,7 +94,8 @@ def _every_record():
     config = SimulationConfig(Scenario.NULL, k=13, trials=2, seed=1)
     return [
         effects[0], pool_fixed(effects), PlotConfig(), plot.points[0], plot,
-        classification.diagnostics, classification, studies[0].blocks[0], studies[0],
+        RankedPValues(plot.p_values, plot.alpha), classification.diagnostics,
+        classification, studies[0].blocks[0], studies[0],
         summarize_ledger(studies), config, run_simulation(config),
     ]
 
@@ -105,7 +107,7 @@ def test_every_exported_record_type_is_covered():
     exported = (getattr(metaaudit, name) for name in metaaudit.__all__[1:])
     records = {t for t in exported if isinstance(t, type) and issubclass(t, tuple)}
     assert {type(record) for record in RECORDS} == records
-    assert len(records) == 12
+    assert len(records) == 13
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)

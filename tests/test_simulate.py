@@ -6,13 +6,14 @@ measured values.
 """
 
 import hashlib
+import inspect
 import math
 
 import pytest
 import scipy.stats
 
-from metaaudit import ConfigError, PlotVerdict, simulate
-from metaaudit.pvplot import PlotConfig, build_plot, classify_plot
+from metaaudit import ConfigError, PlotVerdict, pvplot, simulate
+from metaaudit.pvplot import PlotConfig, RankedPValues, build_plot, classify_plot
 from metaaudit.report import canonical_json
 from metaaudit.simulate import (
     Scenario,
@@ -139,7 +140,54 @@ def test_trial_bits_pinned(config, sha256):
         classification = classify_plot(build_plot(list(zip(labels, ps))), plot_config)
         digest.update(repr(ps).encode("utf-8"))
         digest.update(repr(classification.diagnostics).encode("utf-8"))
+        # run_simulation classifies the bare sorted p-values instead.
+        ranked = classify_plot(RankedPValues(ps, 0.05), plot_config)
+        assert repr(ranked) == repr(classification)
     assert digest.hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        _null(k=27, trials=12),
+        SimulationConfig(
+            scenario=Scenario.MIXTURE, k=200, trials=3, seed=2027,
+            log_or=0.5, effect_fraction=0.3,
+        ),
+    ],
+    ids=["null_k27", "mixture_k200"],
+)
+def test_each_trial_is_classified_once_through_the_module_names(monkeypatch, config):
+    # perfbench/tracing.py wraps classify_plot and simulate_trial where
+    # simulate refers to them: it counts simulate's verdicts from one
+    # classify_plot call per trial, reads .n of its first argument and
+    # classify_plot's config default, and takes the trial index from
+    # simulate_trial's second positional argument.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run_simulation built a labelled plot")
+
+    classified, drawn = [], []
+
+    def classify(plot, *args, **kwargs):
+        result = pvplot.classify_plot(plot, *args, **kwargs)
+        classified.append((plot.n, result.verdict.value))
+        return result
+
+    def trial(*args, **kwargs):
+        drawn.append((args, kwargs))
+        return simulate_trial(*args, **kwargs)
+
+    monkeypatch.setattr(pvplot, "build_plot", forbidden)
+    monkeypatch.setattr(simulate, "build_plot", forbidden, raising=False)
+    monkeypatch.setattr(simulate, "classify_plot", classify)
+    monkeypatch.setattr(simulate, "simulate_trial", trial)
+    report = run_simulation(config)
+    assert [n for n, _ in classified] == [config.k] * config.trials
+    assert drawn == [((config, t), {}) for t in range(config.trials)]
+    verdicts = [verdict for _, verdict in classified]
+    assert report.verdict_counts == {v.value: verdicts.count(v.value) for v in PlotVerdict}
+    default = inspect.signature(pvplot.classify_plot).parameters["config"].default
+    assert default == PlotConfig()
 
 
 @pytest.mark.parametrize(
