@@ -48,11 +48,12 @@ _EXPORTS = {
     "pool_fixed": "pooling",
     "PlotClassification": "pvplot",
     "PlotConfig": "pvplot",
-    "PlotDiagnostics": "pvplot",
     "PlotPoint": "pvplot",
+    "PlotTrace": "pvplot",
     "PlotVerdict": "pvplot",
     "PValuePlot": "pvplot",
     "RankedPValues": "pvplot",
+    "RuleCheck": "pvplot",
     "build_plot": "pvplot",
     "classify_plot": "pvplot",
     "ks_pvalue": "pvplot",

@@ -138,10 +138,11 @@ class _RankedPValues(NamedTuple):
 class RankedPValues(CheckedRecord, _RankedPValues):
     """A plot's p-values alone, ascending, with no labels or points.
 
-    It is what classify_plot reads of a PValuePlot, for callers with no
-    provenance to plot, such as a simulation trial. It rejects what
-    build_plot rejects, and also a p-value that is not a float; n and
-    n_below_alpha are computed, the second by bisection at alpha.
+    It is classify_plot's input: a simulation trial builds one from its
+    draws, and an audit from its PValuePlot's p_values and alpha. It
+    rejects what build_plot rejects, and also a p-value that is not a
+    float; n and n_below_alpha are computed, the second by bisection at
+    alpha.
     """
 
     __slots__ = ()
@@ -158,29 +159,49 @@ class RankedPValues(CheckedRecord, _RankedPValues):
         return super().__new__(cls, ordered, alpha, len(ordered), bisect_left(ordered, alpha))
 
 
-class PlotDiagnostics(NamedTuple):
-    """The statistics classify_plot computed, whichever rule fired.
+class RuleCheck(NamedTuple):
+    """One condition of a classifier rule: its statistic against its threshold.
 
-    ks_statistic is the KS distance D from Uniform(0, 1) and ks_p its
-    asymptotic p-value. fraction_below_alpha is the share of p-values below
-    the plot's alpha. changepoint_index is the rank of the last point in the
-    two-segment fit's first segment and segment_slopes the two fitted
-    slopes; both are None when fewer than 2 * bilinear_min_segment points
-    leave no split.
+    margin is positive when the condition holds with room to spare and
+    negative when it fails. At a tie it is 0, which holds for the >= and
+    <= conditions and fails for the strict ones (effect_majority,
+    bilinear_first_mean). holds comes from the comparison the rule makes,
+    never from the margin.
+    """
+
+    condition: str
+    statistic: float
+    threshold: float
+    margin: float
+    holds: bool
+
+
+class PlotTrace(NamedTuple):
+    """The conditions classify_plot evaluated, in rule order.
+
+    checks are min_points (n, at least min_points), effect_majority (the
+    fraction below alpha, above effect_majority_fraction), uniform_ks (the
+    KS p-value, at least uniform_ks_threshold), uniform_count (the count
+    below alpha, at most the largest count consistent with uniformity) and,
+    when the two-segment fit ran, bilinear_rss (its RSS over the single
+    line's, at most 1 - bilinear_rss_reduction; 1.0 for a straight line)
+    and bilinear_first_mean (the first segment's mean p, below alpha).
+    ks_statistic is the KS distance D from Uniform(0, 1). changepoint_index
+    is the rank of the last point of the fit's first segment and
+    segment_slopes its two slopes; both are None when the fit did not run.
     """
 
     ks_statistic: float
-    ks_p: float
-    fraction_below_alpha: float
     changepoint_index: int | None
     segment_slopes: tuple[float, float] | None
+    checks: tuple[RuleCheck, ...]
 
 
 class PlotClassification(NamedTuple):
-    """A plot's verdict, from the first rule that fired, with its diagnostics."""
+    """A plot's verdict, from the first rule that fired, with its trace."""
 
     verdict: PlotVerdict
-    diagnostics: PlotDiagnostics
+    trace: PlotTrace
 
 
 def build_plot(
@@ -363,7 +384,7 @@ def _two_segment_fit(
     total RSS as _rss computes it, the first one on ties. sorted_ps are
     p-values in [0, 1], so no square overflows. The single-line RSS that
     the BILINEAR rule compares against is not computed here: classify_plot
-    fits it only when it reaches that rule.
+    fits it for its bilinear_rss check.
 
     The fit runs in two passes, O(n) plus the cost of the confirmations:
 
@@ -433,43 +454,62 @@ def _two_segment_fit(
 
 
 def classify_plot(
-    plot: PValuePlot | RankedPValues, config: PlotConfig = PlotConfig()
+    ranked: RankedPValues, config: PlotConfig = PlotConfig(), *, every_rule: bool = True
 ) -> PlotClassification:
     """Classify a plot's shape; see the module docstring for the rules.
 
-    plot is a PValuePlot or a RankedPValues: the classifier reads only its
-    p_values, which must be ascending, its n, n_below_alpha and alpha.
+    The first four checks are cheap and always traced. The two-segment fit
+    and the BILINEAR checks run when the plot reaches that rule, and for
+    every plot of at least 2 * bilinear_min_segment points when every_rule
+    is set. Without every_rule the verdict is the same and the trace a
+    prefix of the full one.
     """
-    ps = plot.p_values
-    n = plot.n
-    below = plot.n_below_alpha
+    if not isinstance(ranked, RankedPValues):
+        raise TypeError(f"classify_plot takes a RankedPValues, got {type(ranked).__name__}")
+    ps, alpha, n, below = ranked
     fraction = below / n
     stat = ks_statistic(ps)
     ks_p = ks_pvalue(stat, n)
-    fit = _two_segment_fit(ps, config.bilinear_min_segment)
-    changepoint, slopes = (fit[0], fit[2:]) if fit is not None else (None, None)
-    diagnostics = PlotDiagnostics(stat, ks_p, fraction, changepoint, slopes)
-
-    if n < config.min_points:
-        return PlotClassification(PlotVerdict.AMBIGUOUS, diagnostics)
-    if fraction > config.effect_majority_fraction:
-        return PlotClassification(PlotVerdict.EFFECT_LINE, diagnostics)
-    admissible = _admissible_below_alpha(
-        n, plot.alpha, config.uniform_count_level
-    )
-    if ks_p >= config.uniform_ks_threshold and below <= admissible:
-        return PlotClassification(PlotVerdict.UNIFORM45, diagnostics)
+    admissible = _admissible_below_alpha(n, alpha, config.uniform_count_level)
+    least = config.min_points
+    majority = config.effect_majority_fraction
+    ks_level = config.uniform_ks_threshold
+    checks = [
+        RuleCheck("min_points", n, least, n - least, n >= least),
+        RuleCheck("effect_majority", fraction, majority, fraction - majority, fraction > majority),
+        RuleCheck("uniform_ks", ks_p, ks_level, ks_p - ks_level, ks_p >= ks_level),
+        RuleCheck("uniform_count", below, admissible, admissible - below, below <= admissible),
+    ]
+    if not checks[0].holds:
+        verdict = PlotVerdict.AMBIGUOUS
+    elif checks[1].holds:
+        verdict = PlotVerdict.EFFECT_LINE
+    elif checks[2].holds and checks[3].holds:
+        verdict = PlotVerdict.UNIFORM45
+    else:
+        verdict = None  # the plot reaches the BILINEAR rule
+    changepoint = slopes = fit = None
+    if every_rule or verdict is None:
+        fit = _two_segment_fit(ps, config.bilinear_min_segment)
     if fit is not None:
-        split, total, _, _ = fit
+        changepoint, total, slopes = fit[0], fit[1], fit[2:]
         single_rss, _ = _rss([float(i) for i in range(1, n + 1)], ps)
-        first_mean = math.fsum(ps[:split]) / split
-        if (
-            single_rss > 0.0
-            and total <= (1.0 - config.bilinear_rss_reduction) * single_rss
-            and first_mean < plot.alpha
-        ):
-            return PlotClassification(PlotVerdict.BILINEAR, diagnostics)
-    return PlotClassification(PlotVerdict.AMBIGUOUS, diagnostics)
+        first_mean = math.fsum(ps[:changepoint]) / changepoint
+        ceiling = 1.0 - config.bilinear_rss_reduction
+        allowed = ceiling * single_rss
+        if single_rss > 0.0:
+            ratio, room = total / single_rss, (allowed - total) / single_rss
+        else:  # points on one line: a second segment has nothing to remove
+            ratio, room = 1.0, ceiling - 1.0
+        checks += [
+            RuleCheck("bilinear_rss", ratio, ceiling, room, single_rss > 0.0 and total <= allowed),
+            RuleCheck("bilinear_first_mean", first_mean, alpha, alpha - first_mean,
+                      first_mean < alpha),
+        ]
+        if verdict is None and checks[4].holds and checks[5].holds:
+            verdict = PlotVerdict.BILINEAR
+    trace = PlotTrace(stat, changepoint, slopes, tuple(checks))
+    return PlotClassification(verdict or PlotVerdict.AMBIGUOUS, trace)
 
 
 def _fmt(value: float) -> str:
@@ -567,9 +607,9 @@ def _render_svg(
     parts.append(_text((left + right) / 2, bottom + 34, x_label, size=12, anchor="middle"))
     parts.append(_text(16, (top + bottom) / 2, "p-value", size=12, anchor="middle", rotated=True))
     if classification is not None:
-        d = classification.diagnostics
+        ks_p = classification.trace.checks[2].statistic
         note = (
-            f"verdict: {classification.verdict.value} | KS p = {d.ks_p:.4f} | "
+            f"verdict: {classification.verdict.value} | KS p = {ks_p:.4f} | "
             f"{plot.n_below_alpha}/{n} below alpha"
         )
         parts.append(_text(right, bottom - 8, note, anchor="end", fill="#555555"))

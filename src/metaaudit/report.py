@@ -2,9 +2,9 @@
 
 All JSON artifacts are emitted with sorted keys and floats rounded to six
 significant digits, so a report's bytes depend only on its content. Ints
-(including exact search-space counts) pass through untouched. Records and
-dataclasses serialize as objects of their fields and enums as their values,
-so result types go into a report as they are.
+(including exact search-space counts) pass through untouched. Records
+(NamedTuples) serialize as objects of their fields and enums as their
+values, so result types go into a report as they are.
 
 Three builders make the documents that the commands write and that
 ``reproduce`` checks: ``audit_report`` (``plot``), ``count_report`` and
@@ -44,10 +44,6 @@ def _canonical_value(value: Any) -> Any:
         return {str(k): _canonical_value(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_canonical_value(v) for v in value]
-    # dataclasses.is_dataclass's own test; the module loads only when needed.
-    if hasattr(type(value), "__dataclass_fields__"):
-        from dataclasses import fields
-        return {f.name: _canonical_value(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, Enum):
         return _canonical_value(value.value)
     raise DomainError(f"cannot serialize {type(value).__name__} to canonical JSON")
@@ -56,8 +52,8 @@ def _canonical_value(value: Any) -> Any:
 def canonical_json(payload: Any) -> str:
     """Deterministic JSON text: sorted keys, 6 significant digit floats.
 
-    Dicts, lists, tuples, enums, records (NamedTuples) and dataclasses may
-    nest to any depth; a record or dataclass is an object of its fields.
+    Dicts, lists, tuples, enums and records (NamedTuples) may nest to any
+    depth; a record is an object of its fields.
     """
     return json.dumps(_canonical_value(payload), sort_keys=True, indent=2) + "\n"
 
@@ -92,8 +88,8 @@ def audit_report(
 
     Each conversion row carries its p-value under both readings, and the
     plot takes the chosen reading's column, flagging odds ratios below 1.
-    The plot is judged under the default PlotConfig; the config block holds
-    the plot's alpha beside those thresholds.
+    The plot is judged under the default PlotConfig with every rule traced;
+    the config block holds the plot's alpha beside those thresholds.
     """
     conversions = [
         {**e._asdict(), **{f"p_{m.value}": p_from_effect(e, m) for m in ConversionMethod}}
@@ -102,7 +98,7 @@ def audit_report(
     pairs = [(e.display_label(), row[f"p_{method.value}"]) for e, row in zip(effects, conversions)]
     plot = pvplot.build_plot(pairs, alpha, [e.odds_ratio < 1.0 for e in effects])
     config = pvplot.PlotConfig()
-    classification = pvplot.classify_plot(plot, config)
+    classification = pvplot.classify_plot(pvplot.RankedPValues(plot.p_values, plot.alpha), config)
     pooled = {
         "fixed": pooling.pool_fixed(effects),
         "dersimonian_laird": pooling.pool_dersimonian_laird(effects),

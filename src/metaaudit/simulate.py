@@ -165,21 +165,23 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
     """Run all trials, classify each trial's p-values and aggregate.
 
     Each trial's p-values are classified as a RankedPValues at _ALPHA,
-    with no labelled plot. The verdict histogram always sums to
-    config.trials. KS aggregates are the per-trial mean statistic, mean
+    with no labelled plot, up to the deciding rule: only a trial that
+    reaches the BILINEAR rule is fitted. The verdict histogram always sums
+    to config.trials. KS aggregates are the per-trial mean statistic, mean
     asymptotic p and the fraction of trials whose KS p clears the uniform
-    threshold, summed from three columns of the classifier's diagnostics.
+    threshold, summed from three columns of the classifier's trace.
     """
     plot_config = PlotConfig()
     counts: dict[str, int] = {v.value: 0 for v in PlotVerdict}
     fractions, statistics, ks_ps = [], [], []
     for trial in range(config.trials):
         ranked = RankedPValues(simulate_trial(config, trial), _ALPHA)
-        verdict, diagnostics = classify_plot(ranked, plot_config)
+        verdict, trace = classify_plot(ranked, plot_config, every_rule=False)
         counts[verdict.value] += 1
-        fractions.append(diagnostics.fraction_below_alpha)
-        statistics.append(diagnostics.ks_statistic)
-        ks_ps.append(diagnostics.ks_p)
+        # checks[1] is effect_majority and checks[2] uniform_ks.
+        fractions.append(trace.checks[1].statistic)
+        statistics.append(trace.ks_statistic)
+        ks_ps.append(trace.checks[2].statistic)
     threshold = plot_config.uniform_ks_threshold
     n = config.trials
     return SimulationReport(

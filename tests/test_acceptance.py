@@ -21,7 +21,6 @@ from metaaudit import (
     ConversionMethod,
     EffectEstimate,
     PlotVerdict,
-    classify_plot,
     cohort_false_positives,
     expected_false_positives,
     ingest_counts,
@@ -142,12 +141,13 @@ def test_acceptance_3_inverse_variance_combination():
 
 @criterion(4, "figure counts, classifications and byte-stable SVGs")
 def test_acceptance_4_figures(tmp_path):
-    asthma = audit_report(
+    asthma_audit = audit_report(
         ingest_effects(fixture_path("asthma_effects.csv")), ConversionMethod.NATURAL
-    )["plot"]
-    wheeze = audit_report(
+    )
+    wheeze_audit = audit_report(
         ingest_effects(fixture_path("wheeze_effects.csv")), ConversionMethod.NATURAL
-    )["plot"]
+    )
+    asthma, wheeze = asthma_audit["plot"], wheeze_audit["plot"]
     assert asthma.n == 13
     assert asthma.n_below_alpha == 1
     assert wheeze.n == 27
@@ -158,8 +158,8 @@ def test_acceptance_4_figures(tmp_path):
         if point.p_value < 0.05 and point.negative_effect
     )
     assert significant_negative == 4
-    assert classify_plot(asthma).verdict is not PlotVerdict.EFFECT_LINE
-    assert classify_plot(wheeze).verdict is not PlotVerdict.EFFECT_LINE
+    assert asthma_audit["classification"].verdict is not PlotVerdict.EFFECT_LINE
+    assert wheeze_audit["classification"].verdict is not PlotVerdict.EFFECT_LINE
 
     run_reproduction(tmp_path / "first")
     run_reproduction(tmp_path / "second")

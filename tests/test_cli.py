@@ -780,9 +780,9 @@ def test_plot_writes_three_artifacts(tmp_path, capsys):
         ("log", "asthma_effects_plot.csv",
          "094e51dc99867ebcd33fe5e2848a7a7024fddba5f5b304837706e555ff082aa7"),
         ("natural", "asthma_effects_audit.json",
-         "6a27e627188407c28ff68518714eaf6fbb9f582f0df4002099793c8d2d04e2c1"),
+         "f32f8733b4daed8471e7cce741ce1b8684ce107a9afec57a2e5b5c102ef972a3"),
         ("log", "asthma_effects_audit.json",
-         "d262dff36bd1ffa208b4548c2f783ed751ba4984cd44bb2cc998843b53a8e1ba"),
+         "977f63e52882c58a62a04219f46139cf71ea26fd90d09eb37a0ee536fd1423b2"),
     ],
 )
 def test_plot_artifact_pins(tmp_path, capsys, method, artifact, sha256):

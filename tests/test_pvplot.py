@@ -41,13 +41,22 @@ from metaaudit import (
 from metaaudit import pvplot
 from metaaudit.pvplot import _rss, _two_segment_fit
 from metaaudit.reproduce import fixture_path, run_reproduction
-from metaaudit.simulate import Scenario, SimulationConfig, simulate_trial
+from metaaudit.simulate import Scenario, SimulationConfig, run_simulation, simulate_trial
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def _labeled(ps):
     return [(f"p{i:03d}", p) for i, p in enumerate(ps)]
+
+
+def _classify(plot, *args, **kwargs):
+    """classify_plot of a labelled plot's p-values, as audit_report calls it."""
+    return classify_plot(RankedPValues(plot.p_values, plot.alpha), *args, **kwargs)
+
+
+def _checks(classification):
+    return {check.condition: check for check in classification.trace.checks}
 
 
 def test_build_plot_sorts_and_counts():
@@ -164,6 +173,7 @@ def test_build_plot_rejects_what_ranked_p_values_rejects(ps, alpha, error):
 @example([0.05] * 5, 0.05, 3, 5)
 @example([1.0, 0.0, 0.05, 0.0, 1.0, 0.5, 0.5], 0.05, 3, 5)
 @example([0.0] * 6 + [1.0] * 6, 0.5, 3, 5)
+@example([0.5] * 6, 0.05, 3, 5)
 def test_ranked_p_values_classify_as_their_plot_bit_for_bit(ps, alpha, min_segment, min_points):
     # Ties, the ends 0.0 and 1.0, n below min_points and n below
     # 2 * bilinear_min_segment all occur; labels run against the p order.
@@ -172,7 +182,50 @@ def test_ranked_p_values_classify_as_their_plot_bit_for_bit(ps, alpha, min_segme
     ranked = RankedPValues(ps, alpha)
     assert ranked.p_values == plot.p_values
     assert ranked[1:] == (plot.alpha, plot.n, plot.n_below_alpha)
-    assert repr(classify_plot(ranked, config)) == repr(classify_plot(plot, config))
+    full = classify_plot(ranked, config)
+    early = classify_plot(ranked, config, every_rule=False)
+    assert full.verdict is early.verdict is _reference_verdict(ranked, config)
+    # Stopping at the deciding rule keeps a prefix of the every-rule trace.
+    checks = full.trace.checks
+    assert repr(early.trace.checks) == repr(checks[:len(early.trace.checks)])
+    assert early.trace.ks_statistic == full.trace.ks_statistic
+    assert early.trace[1:3] in ((None, None), full.trace[1:3])
+    fitted = len(ps) >= 2 * min_segment
+    assert [check.condition for check in checks] == _CONDITIONS[:6 if fitted else 4]
+    assert (full.trace.changepoint_index is not None) == fitted
+    for check in checks:
+        # A tie holds only for the >= and <= conditions.
+        strict = check.condition in ("effect_majority", "bilinear_first_mean")
+        assert check.holds == (check.margin > 0 or (check.margin == 0 and not strict)), check
+
+
+_CONDITIONS = [
+    "min_points", "effect_majority", "uniform_ks", "uniform_count",
+    "bilinear_rss", "bilinear_first_mean",
+]
+
+
+def _reference_verdict(ranked, config):
+    """The rules in order, each decided by its own comparison, as in the module docstring."""
+    ps, alpha, n, below = ranked
+    if n < config.min_points:
+        return PlotVerdict.AMBIGUOUS
+    if below / n > config.effect_majority_fraction:
+        return PlotVerdict.EFFECT_LINE
+    admissible = pvplot._admissible_below_alpha(n, alpha, config.uniform_count_level)
+    if ks_pvalue(ks_statistic(ps), n) >= config.uniform_ks_threshold and below <= admissible:
+        return PlotVerdict.UNIFORM45
+    fit = _two_segment_fit(ps, config.bilinear_min_segment)
+    if fit is not None:
+        split, total = fit[:2]
+        single_rss, _ = _rss([float(i) for i in range(1, n + 1)], ps)
+        if (
+            single_rss > 0.0
+            and total <= (1.0 - config.bilinear_rss_reduction) * single_rss
+            and math.fsum(ps[:split]) / split < alpha
+        ):
+            return PlotVerdict.BILINEAR
+    return PlotVerdict.AMBIGUOUS
 
 
 def test_ks_statistic_matches_scipy():
@@ -307,15 +360,15 @@ def test_fixture_verdicts():
     )["plot"]
     assert (asthma.n, asthma.n_below_alpha) == (13, 1)
     assert (wheeze.n, wheeze.n_below_alpha) == (27, 6)
-    assert classify_plot(asthma).verdict is PlotVerdict.UNIFORM45
-    wheeze_class = classify_plot(wheeze)
+    assert _classify(asthma).verdict is PlotVerdict.UNIFORM45
+    wheeze_class = _classify(wheeze)
     assert wheeze_class.verdict is PlotVerdict.AMBIGUOUS
-    assert wheeze_class.diagnostics.ks_p < 0.05
+    assert _checks(wheeze_class)["uniform_ks"].statistic < 0.05
 
 
 def test_effect_line_on_staircase():
     plot = build_plot(_labeled([0.001 * i for i in range(1, 21)]))
-    assert classify_plot(plot).verdict is PlotVerdict.EFFECT_LINE
+    assert _classify(plot).verdict is PlotVerdict.EFFECT_LINE
 
 
 def test_uniform_count_gate_boundary():
@@ -324,29 +377,39 @@ def test_uniform_count_gate_boundary():
     # though the KS test is happy either way.
     spread_24 = list(np.linspace(0.08, 0.98, 24))
     admissible = build_plot(_labeled([0.01, 0.02, 0.03] + spread_24))
-    verdict = classify_plot(admissible)
+    verdict = _classify(admissible)
     assert verdict.verdict is PlotVerdict.UNIFORM45
-    assert verdict.diagnostics.ks_p > 0.05
+    assert _checks(verdict)["uniform_ks"].statistic > 0.05
+    assert _checks(verdict)["uniform_count"] == ("uniform_count", 3, 3, 0, True)
 
     spread_23 = list(np.linspace(0.08, 0.98, 23))
     excessive = build_plot(_labeled([0.01, 0.02, 0.03, 0.04] + spread_23))
-    verdict = classify_plot(excessive)
-    assert verdict.diagnostics.ks_p > 0.05
+    verdict = _classify(excessive)
+    assert _checks(verdict)["uniform_ks"].statistic > 0.05
+    assert _checks(verdict)["uniform_count"] == ("uniform_count", 4, 3, -1, False)
     assert verdict.verdict is not PlotVerdict.UNIFORM45
 
 
 def test_bilinear_two_slope_shape():
     ps = [0.001 * i for i in range(1, 9)] + list(np.linspace(0.10, 0.95, 19))
-    classification = classify_plot(build_plot(_labeled(ps)))
+    classification = _classify(build_plot(_labeled(ps)))
     assert classification.verdict is PlotVerdict.BILINEAR
-    assert classification.diagnostics.changepoint_index == 8
-    slope_low, slope_high = classification.diagnostics.segment_slopes
+    assert classification.trace.changepoint_index == 8
+    slope_low, slope_high = classification.trace.segment_slopes
     assert slope_low < slope_high
+
+
+def test_classify_plot_takes_only_ranked_p_values():
+    # A labelled plot unpacks into other fields; it must be refused by name.
+    for alpha in (0.05, 0.01):
+        plot = build_plot(_labeled([0.02, 0.3, 0.5, 0.7, 0.9]), alpha=alpha)
+        with pytest.raises(TypeError, match="takes a RankedPValues, got PValuePlot"):
+            classify_plot(plot)
 
 
 def test_small_sets_are_ambiguous():
     plot = build_plot(_labeled([0.2, 0.4, 0.6, 0.8]))
-    assert classify_plot(plot).verdict is PlotVerdict.AMBIGUOUS
+    assert _classify(plot).verdict is PlotVerdict.AMBIGUOUS
 
 
 def test_majority_rule_beats_uniformity():
@@ -354,7 +417,7 @@ def test_majority_rule_beats_uniformity():
     ps = [0.01, 0.02, 0.03, 0.04, 0.045, 0.046, 0.3, 0.6, 0.8, 0.9]
     plot = build_plot(_labeled(ps))
     assert plot.n_below_alpha == 6
-    assert classify_plot(plot).verdict is PlotVerdict.EFFECT_LINE
+    assert _classify(plot).verdict is PlotVerdict.EFFECT_LINE
 
 
 def test_classifier_counts_at_the_plot_alpha():
@@ -362,7 +425,7 @@ def test_classifier_counts_at_the_plot_alpha():
     # classifier must count at the level the plot was built with.
     plot = build_plot(_labeled([0.02, 0.03, 0.5, 0.7, 0.9]), alpha=0.01)
     assert plot.n_below_alpha == 0
-    assert classify_plot(plot).diagnostics.fraction_below_alpha == 0.0
+    assert _checks(_classify(plot))["effect_majority"].statistic == 0.0
 
 
 def _reference_rss(xs, ys):
@@ -463,34 +526,52 @@ def test_closed_form_rank_moments_equal_fsum(offset):
         assert m * (m * m - 1) / 12.0 == math.fsum([(x - xbar) ** 2 for x in xs])
 
 
-def _spy_rss(monkeypatch):
+def _spy(monkeypatch, name):
+    """Record (len of the first argument, result) of each call to pvplot's name."""
     calls = []
+    original = getattr(pvplot, name)
 
-    def spy(xs, ys):
-        result = _rss(xs, ys)
-        calls.append((len(xs), result))
+    def spy(*args):
+        result = original(*args)
+        calls.append((len(args[0]), result))
         return result
 
-    monkeypatch.setattr(pvplot, "_rss", spy)
+    monkeypatch.setattr(pvplot, name, spy)
     return calls
 
 
 def test_bilinear_rule_reads_the_reference_single_line_rss(monkeypatch):
     ps = [0.001 * i for i in range(1, 9)] + list(np.linspace(0.10, 0.95, 19))
     plot = build_plot(_labeled(ps))
-    calls = _spy_rss(monkeypatch)
-    assert classify_plot(plot).verdict is PlotVerdict.BILINEAR
+    calls = _spy(monkeypatch, "_rss")
+    assert _classify(plot).verdict is PlotVerdict.BILINEAR
     _, single_rss = _reference_two_segment_fit(sorted(ps), 3)
     assert [rss for n, (rss, _) in calls if n == plot.n] == [single_rss]
 
 
 def test_single_line_rss_is_fitted_only_at_the_bilinear_rule(monkeypatch):
     plot = build_plot(_labeled(list(np.linspace(0.02, 0.98, 27))))
-    calls = _spy_rss(monkeypatch)
-    classification = classify_plot(plot)
+    calls = _spy(monkeypatch, "_rss")
+    fits = _spy(monkeypatch, "_two_segment_fit")
+    early = _classify(plot, every_rule=False)
+    assert early.verdict is PlotVerdict.UNIFORM45
+    assert (calls, fits, early.trace.changepoint_index) == ([], [], None)
+    # Every rule: one fit, its segments and the single line over all n points.
+    classification = _classify(plot)
     assert classification.verdict is PlotVerdict.UNIFORM45
-    assert classification.diagnostics.changepoint_index is not None
-    assert calls and all(n < plot.n for n, _ in calls)
+    assert classification.trace.changepoint_index is not None
+    assert len(fits) == 1 and [n for n, _ in calls].count(plot.n) == 1
+    # run_simulation fits only the trials that the first three rules leave
+    # undecided: 90 of 1000 null trials at k = 27, and every mixture trial.
+    for config, reached in (
+        (SimulationConfig(scenario=Scenario.NULL, k=27, trials=1000, seed=2027), 90),
+        (SimulationConfig(scenario=Scenario.MIXTURE, k=200, trials=4, seed=2027,
+                          log_or=0.5, effect_fraction=0.3), 4),
+    ):
+        fits.clear()
+        counts = run_simulation(config).verdict_counts
+        assert counts["bilinear"] + counts["ambiguous"] == reached
+        assert len(fits) == reached
 
 
 def test_plot_config_validation():
@@ -558,7 +639,7 @@ def _pin_plot(n, alpha, negatives):
 )
 def test_render_pins(n, alpha, negatives, classified, title, fmt, sha256):
     plot = _pin_plot(n, alpha, negatives)
-    classification = classify_plot(plot) if classified else None
+    classification = _classify(plot) if classified else None
     text = render_plot(plot, classification, title, fmt)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
 
@@ -566,7 +647,7 @@ def test_render_pins(n, alpha, negatives, classified, title, fmt, sha256):
 def test_rendering_is_deterministic():
     effects = ingest_effects(fixture_path("wheeze_effects.csv"))
     plot = audit_report(effects, ConversionMethod.NATURAL)["plot"]
-    classification = classify_plot(plot)
+    classification = _classify(plot)
     first = render_plot(plot, classification)
     second = render_plot(plot, classification)
     assert first == second

@@ -46,6 +46,11 @@ def test_ints_and_bools_pass_untouched():
     assert payload["n"] == 304128
 
 
+@dataclasses.dataclass(frozen=True)
+class _Dataclass:
+    value: float
+
+
 def test_non_finite_rejected():
     with pytest.raises(DomainError):
         canonical_json({"x": math.nan})
@@ -53,9 +58,12 @@ def test_non_finite_rejected():
         canonical_json([math.inf])
     with pytest.raises(DomainError):
         canonical_json({"x": object()})
+    # Records are NamedTuples; a dataclass is not one of the serialized types.
+    with pytest.raises(DomainError, match="cannot serialize _Dataclass"):
+        canonical_json({"x": _Dataclass(0.5)})
 
 
-def test_dataclasses_and_enums_serialize_as_fields_and_values():
+def test_records_and_enums_serialize_as_fields_and_values():
     pooled = pool_fixed(ingest_effects(fixture_path("region_pair.csv")))
     payload = json.loads(canonical_json({"result": pooled, "method": ConversionMethod.LOG}))
     assert payload["method"] == "log"
@@ -66,35 +74,17 @@ def test_dataclasses_and_enums_serialize_as_fields_and_values():
     }
 
 
-@dataclasses.dataclass(frozen=True)
-class _UserRecord:
-    name: str
-    values: tuple
-    scenario: Scenario
-
-
-def test_user_dataclasses_serialize_as_objects_of_their_fields():
-    payload = {"record": _UserRecord("x", (0.1234567, _UserRecord("y", (), Scenario.NULL)),
-                                     Scenario.MIXTURE)}
-    assert json.loads(canonical_json(payload)) == {"record": {
-        "name": "x",
-        "values": [0.123457, {"name": "y", "values": [], "scenario": "null"}],
-        "scenario": "mixture",
-    }}
-    with pytest.raises(DomainError):
-        canonical_json(_UserRecord)
-
-
 def _every_record():
     """One instance of each of the package's record types."""
     effects = ingest_effects(fixture_path("asthma_effects.csv"))
     plot = audit_report(effects, ConversionMethod.NATURAL)["plot"]
-    classification = classify_plot(plot, PlotConfig())
+    ranked = RankedPValues(plot.p_values, plot.alpha)
+    classification = classify_plot(ranked, PlotConfig())
     studies = ingest_counts(fixture_path("lungfunction_blocks.csv"))
     config = SimulationConfig(Scenario.NULL, k=13, trials=2, seed=1)
     return [
-        effects[0], pool_fixed(effects), PlotConfig(), plot.points[0], plot,
-        RankedPValues(plot.p_values, plot.alpha), classification.diagnostics,
+        effects[0], pool_fixed(effects), PlotConfig(), plot.points[0], plot, ranked,
+        classification.trace.checks[0], classification.trace,
         classification, studies[0].blocks[0], studies[0],
         summarize_ledger(studies), config, run_simulation(config),
     ]
@@ -107,7 +97,7 @@ def test_every_exported_record_type_is_covered():
     exported = (getattr(metaaudit, name) for name in metaaudit.__all__[1:])
     records = {t for t in exported if isinstance(t, type) and issubclass(t, tuple)}
     assert {type(record) for record in RECORDS} == records
-    assert len(records) == 13
+    assert len(records) == 14
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)

@@ -13,7 +13,7 @@ import pytest
 import scipy.stats
 
 from metaaudit import ConfigError, PlotVerdict, pvplot, simulate
-from metaaudit.pvplot import PlotConfig, RankedPValues, build_plot, classify_plot
+from metaaudit.pvplot import PlotConfig, RankedPValues, classify_plot
 from metaaudit.report import canonical_json
 from metaaudit.simulate import (
     Scenario,
@@ -130,19 +130,25 @@ def test_null_studies_skip_the_normal_quantile_and_cdf(monkeypatch):
 )
 def test_trial_bits_pinned(config, sha256):
     # The report pins keep 6 significant digits; this one hashes the repr
-    # of every trial's p-values and diagnostics, so a change in the last bit
-    # of any draw, KS figure or fitted slope fails it.
+    # of every trial's p-values and, in the format of the record the trace
+    # replaced, its every-rule trace's KS figures, changepoint and slopes,
+    # so a change in the last bit of any draw, KS figure or fitted slope
+    # fails it.
     plot_config = PlotConfig()
-    labels = [f"study-{i:03d}" for i in range(1, config.k + 1)]
     digest = hashlib.sha256()
     for trial in range(config.trials):
         ps = simulate_trial(config, trial)
-        classification = classify_plot(build_plot(list(zip(labels, ps))), plot_config)
+        ranked = RankedPValues(ps, 0.05)
+        verdict, trace = classify_plot(ranked, plot_config)
+        fraction, ks_p = trace.checks[1].statistic, trace.checks[2].statistic
         digest.update(repr(ps).encode("utf-8"))
-        digest.update(repr(classification.diagnostics).encode("utf-8"))
-        # run_simulation classifies the bare sorted p-values instead.
-        ranked = classify_plot(RankedPValues(ps, 0.05), plot_config)
-        assert repr(ranked) == repr(classification)
+        digest.update(
+            f"PlotDiagnostics(ks_statistic={trace.ks_statistic!r}, ks_p={ks_p!r}, "
+            f"fraction_below_alpha={fraction!r}, changepoint_index={trace.changepoint_index!r}, "
+            f"segment_slopes={trace.segment_slopes!r})".encode("utf-8")
+        )
+        # run_simulation classifies only up to the deciding rule.
+        assert classify_plot(ranked, plot_config, every_rule=False).verdict is verdict
     assert digest.hexdigest() == sha256
 
 
@@ -160,9 +166,10 @@ def test_trial_bits_pinned(config, sha256):
 def test_each_trial_is_classified_once_through_the_module_names(monkeypatch, config):
     # perfbench/tracing.py wraps classify_plot and simulate_trial where
     # simulate refers to them: it counts simulate's verdicts from one
-    # classify_plot call per trial, reads .n of its first argument and
-    # classify_plot's config default, and takes the trial index from
-    # simulate_trial's second positional argument.
+    # classify_plot call per trial, reads .n of its first argument, the
+    # config as its second positional argument or classify_plot's config
+    # default, and takes the trial index from simulate_trial's second
+    # positional argument.
     def forbidden(*args, **kwargs):
         raise AssertionError("run_simulation built a labelled plot")
 
@@ -171,6 +178,7 @@ def test_each_trial_is_classified_once_through_the_module_names(monkeypatch, con
     def classify(plot, *args, **kwargs):
         result = pvplot.classify_plot(plot, *args, **kwargs)
         classified.append((plot.n, result.verdict.value))
+        assert (args, kwargs) == ((PlotConfig(),), {"every_rule": False})
         return result
 
     def trial(*args, **kwargs):
@@ -186,8 +194,9 @@ def test_each_trial_is_classified_once_through_the_module_names(monkeypatch, con
     assert drawn == [((config, t), {}) for t in range(config.trials)]
     verdicts = [verdict for _, verdict in classified]
     assert report.verdict_counts == {v.value: verdicts.count(v.value) for v in PlotVerdict}
-    default = inspect.signature(pvplot.classify_plot).parameters["config"].default
-    assert default == PlotConfig()
+    parameters = inspect.signature(pvplot.classify_plot).parameters
+    assert parameters["config"].default == PlotConfig()
+    assert parameters["every_rule"].kind is inspect.Parameter.KEYWORD_ONLY
 
 
 @pytest.mark.parametrize(
