@@ -18,7 +18,6 @@ errors).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import os
 import sys
@@ -26,10 +25,10 @@ from pathlib import Path
 from typing import Any
 
 from . import __version__, _lazy
-from .effects import ConversionMethod, p_from_effect
 from .errors import AuditError, ConfigError
 
 # Executed on first use, so a command loads only the modules it calls.
+effects = _lazy("effects")
 ingest = _lazy("ingest")
 pooling = _lazy("pooling")
 pvplot = _lazy("pvplot")
@@ -59,35 +58,37 @@ def _emit(output: str | None, payload: dict[str, Any]) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    effects = ingest.ingest_effects(args.input)
-    method = ConversionMethod(args.method)
+    import csv  # Only convert writes CSV here; simulate and cohort never load it.
+
+    rows = ingest.ingest_effects(args.input)
+    method = effects.ConversionMethod(args.method)
     buffer = io.StringIO()
     writer = csv.DictWriter(
         buffer, (*ingest.EFFECT_COLUMNS, "ci_level", "p_value"), lineterminator="\n"
     )
     writer.writeheader()
-    for effect in effects:
-        writer.writerow({**effect._asdict(), "p_value": p_from_effect(effect, method)})
+    for row in rows:
+        writer.writerow({**row._asdict(), "p_value": effects.p_from_effect(row, method)})
     _write_text(args.output, buffer.getvalue())
     return 0
 
 
 def _cmd_pool(args: argparse.Namespace) -> int:
-    effects = ingest.ingest_effects(args.input)
+    rows = ingest.ingest_effects(args.input)
     pool = pooling.pool_fixed if args.model == "fixed" else pooling.pool_dersimonian_laird
-    result = pool(effects, ci_level=args.level)
-    return _emit(args.output, {"input": effects.digest, "result": result})
+    result = pool(rows, ci_level=args.level)
+    return _emit(args.output, {"input": rows.digest, "result": result})
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
     # pvplot is compiled here, before the table is read and the report built.
     # With no bytecode cache, compiling it sets this command's peak memory,
-    # which is about 0.4 MB lower while little else is live; with a cache
-    # the order makes no difference.
+    # which is about 0.2 MB lower while little else is live (15.9 -> 15.7 MB
+    # in 20 of 20 runs); with a cache the order makes no difference.
     render_plot = pvplot.render_plot
     path = Path(args.input)
-    audit = report.audit_report(ingest.ingest_effects(path), ConversionMethod(args.method),
-                                args.alpha)
+    audit = report.audit_report(ingest.ingest_effects(path),
+                                effects.ConversionMethod(args.method), args.alpha)
     plot, classification = audit["plot"], audit["classification"]
     outdir = Path(args.outdir)
     written = {
@@ -170,18 +171,24 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     return 0
 
 
+def _method_options() -> dict[str, Any]:
+    """--method's options, read from effects only when a parser takes the flag."""
+    methods = effects.ConversionMethod
+    return dict(choices=[m.value for m in methods], default=methods.LOG.value,
+                help="interval reading used to recover the standard error")
+
+
 _EFFECTS = {"input": dict(help="effect CSV path")}
-_METHOD = {"--method": dict(choices=[m.value for m in ConversionMethod],
-                            default=ConversionMethod.LOG.value,
-                            help="interval reading used to recover the standard error")}
+_METHOD = {"--method": _method_options}
 _OUTPUT = {"--output": dict(help="output path (default stdout)")}
 _FP_RATE = {"--alpha": dict(type=float, default=0.05, help="false-positive rate per test")}
 
 # Each subcommand: its handler, its help, and the add_argument options of
-# each of its arguments, by name, in usage order. Library functions stay out
-# of this table: a handler reads each from its lazy module when it runs, so
-# only that command's modules load, and a function patched on its module
-# (perfbench's tracer, unittest.mock.patch) is the one called.
+# each of its arguments (or a function that returns them), by name, in usage
+# order. Library functions stay out of this table: a handler reads each from
+# its lazy module when it runs, so only that command's modules load, and a
+# function patched on its module (perfbench's tracer, unittest.mock.patch)
+# is the one called.
 _COMMANDS = {
     "convert": (_cmd_convert, "convert OR/CI rows to two-sided p-values (CSV out)",
                 {**_EFFECTS, **_METHOD, **_OUTPUT}),
@@ -224,7 +231,14 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser; with a known command, it holds only that subcommand.
+
+    A one-command parser parses that command's argv with the same help,
+    usage and error text as the full one: the metavar keeps every command
+    in the top-level usage line. Any other argv (none, -h, --version, an
+    unknown command) needs the full parser, which build_parser() returns.
+    """
     parser = argparse.ArgumentParser(
         prog="metaaudit",
         description="Reliability audit toolkit for odds-ratio meta-analyses.",
@@ -232,12 +246,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, help_text, arguments) in _COMMANDS.items():
-        command = subparsers.add_parser(name, help=help_text)
+    single = command in _COMMANDS
+    subparsers = parser.add_subparsers(
+        dest="command", required=True,
+        # The full parser lists every command from its choices; a metavar
+        # there would rename "command" in its missing-argument error.
+        metavar="{" + ",".join(_COMMANDS) + "}" if single else None,
+    )
+    for name in [command] if single else _COMMANDS:
+        handler, help_text, arguments = _COMMANDS[name]
+        subparser = subparsers.add_parser(name, help=help_text)
         for argument, options in arguments.items():
-            command.add_argument(argument, **options)
-        command.set_defaults(func=handler)
+            subparser.add_argument(argument, **(options() if callable(options) else options))
+        subparser.set_defaults(func=handler)
     return parser
 
 
@@ -251,7 +272,8 @@ _FLAGS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except AuditError as exc:

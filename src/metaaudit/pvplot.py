@@ -30,7 +30,6 @@ doctrine.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from bisect import bisect_left
@@ -618,6 +617,8 @@ def _render_svg(
 
 
 def _render_csv(plot: PValuePlot) -> str:
+    import csv  # Only plot's table needs it; simulate never loads it.
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["rank", "label", "p_value", "below_alpha", "negative_effect"])

@@ -21,10 +21,10 @@ from pathlib import Path
 from typing import Any
 
 from . import __version__, _lazy
-from .effects import ConversionMethod, p_from_effect
 from .errors import DomainError, OutputFileError
 
 # Executed on first use: cohort and simulate need none of the builders' modules.
+effects = _lazy("effects")
 ingest = _lazy("ingest")
 pooling = _lazy("pooling")
 pvplot = _lazy("pvplot")
@@ -82,7 +82,7 @@ def document_json(payload: dict[str, Any]) -> str:
 
 
 def audit_report(
-    effects: ingest.Ingested, method: ConversionMethod, alpha: float = 0.05
+    rows: ingest.Ingested, method: effects.ConversionMethod, alpha: float = 0.05
 ) -> dict[str, Any]:
     """Full audit of one effect table, every number regenerable from inputs.
 
@@ -91,20 +91,21 @@ def audit_report(
     The plot is judged under the default PlotConfig with every rule traced;
     the config block holds the plot's alpha beside those thresholds.
     """
+    p_from_effect, methods = effects.p_from_effect, effects.ConversionMethod
     conversions = [
-        {**e._asdict(), **{f"p_{m.value}": p_from_effect(e, m) for m in ConversionMethod}}
-        for e in effects
+        {**e._asdict(), **{f"p_{m.value}": p_from_effect(e, m) for m in methods}}
+        for e in rows
     ]
-    pairs = [(e.display_label(), row[f"p_{method.value}"]) for e, row in zip(effects, conversions)]
-    plot = pvplot.build_plot(pairs, alpha, [e.odds_ratio < 1.0 for e in effects])
+    pairs = [(e.display_label(), row[f"p_{method.value}"]) for e, row in zip(rows, conversions)]
+    plot = pvplot.build_plot(pairs, alpha, [e.odds_ratio < 1.0 for e in rows])
     config = pvplot.PlotConfig()
     classification = pvplot.classify_plot(pvplot.RankedPValues(plot.p_values, plot.alpha), config)
     pooled = {
-        "fixed": pooling.pool_fixed(effects),
-        "dersimonian_laird": pooling.pool_dersimonian_laird(effects),
+        "fixed": pooling.pool_fixed(rows),
+        "dersimonian_laird": pooling.pool_dersimonian_laird(rows),
     }
     return {
-        "input": effects.digest,
+        "input": rows.digest,
         "method": method.value,
         "config": {"alpha": plot.alpha, **config._asdict()},
         "conversions": conversions,

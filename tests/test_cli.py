@@ -153,6 +153,39 @@ def test_parser_matches_pin():
     } == SUBCOMMAND_PIN
 
 
+def _parse_outcome(parse, argv):
+    """The exit code, stdout and stderr of parse(argv), which must exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as info:
+        parse(argv)
+    return info.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["--version"],
+        ["frobnicate"],
+        ["simulate", "-h"],
+        ["simulate"],
+        ["simulate", "--config", "c", "--bogus", "x"],
+        ["pool", "t.csv"],
+        ["convert", "t.csv", "--method", "bad"],
+        ["plot", "t.csv", "--alpha", "x"],
+    ],
+    ids=" ".join,
+)
+def test_cli_text_matches_the_full_parser(argv):
+    # main builds only the subparser that argv[0] names; the full parser is
+    # the reference for every help, usage and error byte.
+    want = _parse_outcome(build_parser().parse_args, argv)
+    assert want[1] or want[2]
+    assert _parse_outcome(main, argv) == want
+
+
 def test_convert_null_or_yields_p_one(tmp_path, capsys):
     source = _write(
         tmp_path,
@@ -410,35 +443,38 @@ def executed():
     return sorted(name.removeprefix("metaaudit.") for name, module in list(sys.modules.items())
                   if name.startswith("metaaudit") and type(module) is types.ModuleType)
 
-print(executed())
+print(executed(), "csv" in sys.modules)
 if len(sys.argv) > 1:
     with contextlib.redirect_stdout(io.StringIO()):
         assert metaaudit.cli.main(sys.argv[1:]) == 0
-    print(executed())
+    print(executed(), "csv" in sys.modules)
 """
-_AT_IMPORT = {"metaaudit", "cli", "effects", "errors", "normal"}
-_ALL_MODULES = _AT_IMPORT | {"ingest", "pcg64", "pooling", "pvplot", "report", "reproduce",
-                             "search_space", "simulate"}
+_AT_IMPORT = {"metaaudit", "cli", "errors"}
+# ingest imports effects (and so normal) and csv.
+_INGEST = {"ingest", "effects", "normal"}
+_ALL_MODULES = _AT_IMPORT | _INGEST | {"pcg64", "pooling", "pvplot", "report", "reproduce",
+                                       "search_space", "simulate"}
 
 
 @pytest.mark.parametrize(
-    "command, modules",
+    "command, modules, loads_csv",
     [
-        ([], _AT_IMPORT),
-        (["convert", "{asthma}"], _AT_IMPORT | {"ingest"}),
-        (["pool", "{asthma}", "--model", "dl"], _AT_IMPORT | {"ingest", "pooling", "report"}),
-        (["count", "{ledger}"], _AT_IMPORT | {"ingest", "search_space", "report"}),
+        ([], _AT_IMPORT, False),
+        (["convert", "{asthma}"], _AT_IMPORT | _INGEST, True),
+        (["pool", "{asthma}", "--model", "dl"], _AT_IMPORT | _INGEST | {"pooling", "report"},
+         True),
+        (["count", "{ledger}"], _AT_IMPORT | _INGEST | {"search_space", "report"}, True),
         (["cohort", "--publications", "107", "--median-nh", "13824"],
-         _AT_IMPORT | {"report", "search_space"}),
+         _AT_IMPORT | {"report", "search_space"}, False),
         (["simulate", "--config", "{config}"],
-         _AT_IMPORT | {"pcg64", "pvplot", "report", "simulate"}),
+         _AT_IMPORT | {"normal", "pcg64", "pvplot", "report", "simulate"}, False),
         (["plot", "{asthma}", "--outdir", "{out}"],
-         _ALL_MODULES - {"pcg64", "search_space", "simulate", "reproduce"}),
-        (["reproduce", "--outdir", "{out}"], _ALL_MODULES - {"pcg64", "simulate"}),
+         _ALL_MODULES - {"pcg64", "search_space", "simulate", "reproduce"}, True),
+        (["reproduce", "--outdir", "{out}"], _ALL_MODULES - {"pcg64", "simulate"}, True),
     ],
     ids=["import", "convert", "pool", "count", "cohort", "simulate", "plot", "reproduce"],
 )
-def test_each_command_executes_only_the_modules_it_uses(tmp_path, command, modules):
+def test_each_command_executes_only_the_modules_it_uses(tmp_path, command, modules, loads_csv):
     paths = {
         "asthma": fixture_path("asthma_effects.csv"),
         "ledger": fixture_path("hypothesis_counts.csv"),
@@ -454,20 +490,25 @@ def test_each_command_executes_only_the_modules_it_uses(tmp_path, command, modul
     )
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
-    assert (lines[0], lines[-1]) == (str(sorted(_AT_IMPORT)), str(sorted(modules)))
+    assert (lines[0], lines[-1]) == (f"{sorted(_AT_IMPORT)} False",
+                                     f"{sorted(modules)} {loads_csv}")
 
 
 PATCHED_ON_ITS_MODULE = """
 import sys
 from unittest import mock
 import metaaudit.cli
-ingest, simulate = sys.modules["metaaudit.ingest"], sys.modules["metaaudit.simulate"]
+effects, ingest, simulate = (sys.modules[f"metaaudit.{name}"]
+                             for name in ("effects", "ingest", "simulate"))
 table, config, output = sys.argv[1:]
 with mock.patch.object(ingest, "ingest_effects", wraps=ingest.ingest_effects) as spy:
     assert metaaudit.cli.main(["pool", table, "--model", "fixed", "--output", output]) == 0
     print(spy.call_count)
 with mock.patch.object(simulate, "run_simulation", wraps=simulate.run_simulation) as spy:
     assert metaaudit.cli.main(["simulate", "--config", config, "--output", output]) == 0
+    print(spy.call_count)
+with mock.patch.object(effects, "p_from_effect", wraps=effects.p_from_effect) as spy:
+    assert metaaudit.cli.main(["convert", table, "--output", output]) == 0
     print(spy.call_count)
 """
 
@@ -484,7 +525,8 @@ def test_cli_calls_a_function_patched_on_its_module_after_import(tmp_path):
         text=True,
         env={**os.environ, "PYTHONPATH": str(package_root)},
     )
-    assert (result.returncode, result.stdout) == (0, "1\n1\n"), result.stderr
+    # convert converts each of the table's 13 rows once.
+    assert (result.returncode, result.stdout) == (0, "1\n1\n13\n"), result.stderr
 
 
 PACKAGE_CONTRACT = """

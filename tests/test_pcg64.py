@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from metaaudit.normal import std_normal_quantile, two_sided_p
 from metaaudit import pcg64
@@ -22,9 +23,11 @@ from metaaudit.simulate import Scenario, SimulationConfig, simulate_trial
 
 # 2**32 - 1 and 2**32 straddle the one-word boundary; 2**64 + 5 fills the
 # pool exactly with the trial word; 2**129 + 3 gives more than 4 entropy
-# words, which runs SeedSequence's extra mixing loop.
+# words, which runs SeedSequence's extra mixing loop. A trial of 2**32 or
+# more takes two words, which moves the padding and the mixes that the
+# cached seed prefix can do alone.
 SEEDS = [0, 1, 2027, 2**32 - 1, 2**32, 2**64 + 5, 2**129 + 3]
-TRIALS = [0, 1, 999, 10**6]
+TRIALS = [0, 1, 999, 10**6, 2**32 - 1, 2**32]
 SEED_TRIALS = list(itertools.product(SEEDS, TRIALS))
 
 
@@ -36,6 +39,16 @@ def _numpy_generator(seed, trial):
 def test_seed_state_matches_seed_sequence(seed, trial):
     want = np.random.SeedSequence([seed, trial]).generate_state(4, np.uint64)
     assert seed_sequence_state([seed, trial]) == tuple(int(word) for word in want)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 2**130 - 1), st.lists(st.integers(0, 2**40 - 1), min_size=1, max_size=6))
+@example(2**128, [2**32, 0, 2**32 - 1, 2**40 - 1])
+def test_seed_state_matches_seed_sequence_for_any_trial_order(seed, trials):
+    # Each seed's prefix is cached; every trial order must finish it alike.
+    for trial in trials:
+        want = np.random.SeedSequence([seed, trial]).generate_state(4, np.uint64)
+        assert seed_sequence_state([seed, trial]) == tuple(int(word) for word in want)
 
 
 @pytest.mark.parametrize("seed, trial", SEED_TRIALS)
