@@ -37,7 +37,6 @@ from pathlib import Path
 from typing import Any, Callable
 
 from . import _lazy
-from .effects import EffectEstimate
 from .errors import AuditError, CsvFormatError, EmptyInputError, InputFileError
 
 # CPython's own SHA-256: hashlib would load OpenSSL's libcrypto, a few
@@ -50,7 +49,8 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-# Only count files need it; executed on first use.
+# Each is needed by one kind of file only; executed on first use.
+effects = _lazy("effects")
 search_space = _lazy("search_space")
 
 # Cells echoed in error messages are cut to this many characters.
@@ -202,7 +202,7 @@ def ingest_effects(path: str | Path) -> Ingested:
     raised them.
     """
     path = Path(path)
-    rows, diagnostics, data = _read(path, EffectEstimate, EFFECT_COLUMNS, ci_level=_number)
+    rows, diagnostics, data = _read(path, effects.EffectEstimate, EFFECT_COLUMNS, ci_level=_number)
     if diagnostics:
         raise CsvFormatError(path.name, diagnostics)
     return Ingested([effect for _, effect in rows], path.name, data)

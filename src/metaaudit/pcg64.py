@@ -13,10 +13,8 @@ Family of Simple Fast Space-Efficient Statistically Good Algorithms for
 Random Number Generation", HMC-CS-2014-0905). Seeding follows numpy's
 SeedSequence: the entropy integers are split into 32-bit words, hashed
 into a pool of 4 words and expanded into the 256 bits that set PCG64's
-state and increment. The hashing that all but the last entropy value
-decide is cached, so the streams of one seed's trials, [seed, trial],
-hash only the trial's words each. numpy is the test oracle for the stream
-and the draws.
+state and increment. numpy is the test oracle for the stream and the
+draws.
 """
 
 from __future__ import annotations
@@ -49,84 +47,43 @@ _OPEN_SPAN = (1 << 53) - 1
 _OPEN_REDRAW_BELOW = ((1 << 64) - (1 << 53) + 1) % _OPEN_SPAN
 
 
-def _words(values: Sequence[int]) -> list[int]:
-    """The little-endian 32-bit words of each value, [0] for 0."""
-    return [value >> shift & _MASK32 for value in values
-            for shift in range(0, max(value.bit_length(), 1), 32)]
-
-
 @lru_cache(maxsize=16)
-def _seed_prefix(lead: tuple[int, ...], n_tail: int) -> tuple:
-    """The part of SeedSequence's pool hashing that lead alone decides.
+def _hash_plan(n_words: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """SeedSequence's (xor, mult) hash constants for n_words entropy words.
 
-    The entropy is lead's words, then n_tail words from its last value (the
-    tail), then zeros up to the pool size. Mixes run source-major; a mix
-    whose source and destination both depend only on lead is done here. The
-    rest are returned in order as (src, dst, xor, mult) steps; a step from a
-    fixed source has src None and, in xor, its hashed source term, taken at
-    its place in the order. Returns the cells (tail cells 0), the first tail
-    cell, the pool words' (xor, mult) pairs, the steps and the output words'
-    pairs.
+    Each hashmix XORs with the running constant and multiplies by the next,
+    so its pair depends only on its place. Returns the pool words' pairs,
+    the (source, destination, xor, mult) of every mix, and the output
+    words' pairs.
     """
-    words = _words(lead)
-    first = len(words)
-    words += [0] * max(n_tail, _POOL_SIZE - first)
     # Each pool word into every other one, then each later word into all four.
-    mixes = [(src, dst) for src in range(len(words)) for dst in range(_POOL_SIZE) if src != dst]
-    # Each hashmix XORs with the running constant and multiplies by the next,
-    # so its pair depends only on its place.
+    mixes = [(src, dst) for src in range(n_words) for dst in range(_POOL_SIZE) if src != dst]
     consts_a, consts_b = [_INIT_A], [_INIT_B]
     while len(consts_a) <= _POOL_SIZE + len(mixes):
         consts_a.append(consts_a[-1] * _MULT_A & _MASK32)
     while len(consts_b) <= 2 * _POOL_SIZE:
         consts_b.append(consts_b[-1] * _MULT_B & _MASK32)
     pairs_a = tuple(zip(consts_a, consts_a[1:]))
-    # The pool, then the words beyond it, which only ever act as sources.
-    cells = []
-    for word, (xor, mult) in zip(words[:_POOL_SIZE], pairs_a):
-        value = (word ^ xor) * mult & _MASK32
-        cells.append(value ^ value >> 16)
-    cells += words[_POOL_SIZE:]
-    live = set(range(first, first + n_tail))
-    steps = []
-    for (src, dst), (xor, mult) in zip(mixes, pairs_a[_POOL_SIZE:]):
-        if src in live:
-            steps.append((src, dst, xor, mult))
-            live.add(dst)
-            continue
-        value = (cells[src] ^ xor) * mult & _MASK32
-        if dst in live:
-            steps.append((None, dst, value ^ value >> 16, None))
-        else:
-            mixed = (_MIX_MULT_L * cells[dst] - _MIX_MULT_R * (value ^ value >> 16)) & _MASK32
-            cells[dst] = mixed ^ mixed >> 16
-    out_hashes = tuple(zip(consts_b, consts_b[1:]))
-    return tuple(cells), first, pairs_a[:_POOL_SIZE], tuple(steps), out_hashes
+    mixes = tuple(mix + pair for mix, pair in zip(mixes, pairs_a[_POOL_SIZE:]))
+    return pairs_a[:_POOL_SIZE], mixes, tuple(zip(consts_b, consts_b[1:]))
 
 
 def seed_sequence_state(entropy: Sequence[int]) -> tuple[int, int, int, int]:
-    """SeedSequence(entropy).generate_state(4, uint64) as Python ints.
-
-    All but the last entropy value go through _seed_prefix, which is cached,
-    so seeding many streams that differ only in the last value (simulate's
-    [seed, trial]) hashes only that value's words each time.
-    """
-    tail = _words(entropy[-1:])
-    cells, first, pool_hashes, steps, out_hashes = _seed_prefix(tuple(entropy[:-1]), len(tail))
-    cells = list(cells)
-    for pos, word in enumerate(tail, first):
-        if pos < _POOL_SIZE:
-            xor, mult = pool_hashes[pos]
-            value = (word ^ xor) * mult & _MASK32
-            word = value ^ value >> 16
-        cells[pos] = word
-    for src, dst, xor, mult in steps:
-        if src is None:
-            term = xor
-        else:
-            value = (cells[src] ^ xor) * mult & _MASK32
-            term = value ^ value >> 16
-        mixed = (_MIX_MULT_L * cells[dst] - _MIX_MULT_R * term) & _MASK32
+    """SeedSequence(entropy).generate_state(4, uint64) as Python ints."""
+    # The little-endian 32-bit words of each value, [0] for 0.
+    words = [value >> shift & _MASK32 for value in entropy
+             for shift in range(0, max(value.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    pool_hashes, mixes, out_hashes = _hash_plan(len(words))
+    # The pool, then the words beyond it, which only ever act as sources.
+    cells = []
+    for word, (xor, mult) in zip(words, pool_hashes):
+        value = (word ^ xor) * mult & _MASK32
+        cells.append(value ^ value >> 16)
+    cells += words[_POOL_SIZE:]
+    for src, dst, xor, mult in mixes:
+        value = (cells[src] ^ xor) * mult & _MASK32
+        mixed = (_MIX_MULT_L * cells[dst] - _MIX_MULT_R * (value ^ value >> 16)) & _MASK32
         cells[dst] = mixed ^ mixed >> 16
     out = []
     for i, (xor, mult) in enumerate(out_hashes):

@@ -450,7 +450,7 @@ if len(sys.argv) > 1:
     print(executed(), "csv" in sys.modules)
 """
 _AT_IMPORT = {"metaaudit", "cli", "errors"}
-# ingest imports effects (and so normal) and csv.
+# ingest imports csv; reading an effects file executes effects (and so normal).
 _INGEST = {"ingest", "effects", "normal"}
 _ALL_MODULES = _AT_IMPORT | _INGEST | {"pcg64", "pooling", "pvplot", "report", "reproduce",
                                        "search_space", "simulate"}
@@ -463,7 +463,7 @@ _ALL_MODULES = _AT_IMPORT | _INGEST | {"pcg64", "pooling", "pvplot", "report", "
         (["convert", "{asthma}"], _AT_IMPORT | _INGEST, True),
         (["pool", "{asthma}", "--model", "dl"], _AT_IMPORT | _INGEST | {"pooling", "report"},
          True),
-        (["count", "{ledger}"], _AT_IMPORT | _INGEST | {"search_space", "report"}, True),
+        (["count", "{ledger}"], _AT_IMPORT | {"ingest", "search_space", "report"}, True),
         (["cohort", "--publications", "107", "--median-nh", "13824"],
          _AT_IMPORT | {"report", "search_space"}, False),
         (["simulate", "--config", "{config}"],

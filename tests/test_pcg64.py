@@ -24,8 +24,8 @@ from metaaudit.simulate import Scenario, SimulationConfig, simulate_trial
 # 2**32 - 1 and 2**32 straddle the one-word boundary; 2**64 + 5 fills the
 # pool exactly with the trial word; 2**129 + 3 gives more than 4 entropy
 # words, which runs SeedSequence's extra mixing loop. A trial of 2**32 or
-# more takes two words, which moves the padding and the mixes that the
-# cached seed prefix can do alone.
+# more takes two words, which changes the word count and so the padding
+# and every hash constant after the trial's first word.
 SEEDS = [0, 1, 2027, 2**32 - 1, 2**32, 2**64 + 5, 2**129 + 3]
 TRIALS = [0, 1, 999, 10**6, 2**32 - 1, 2**32]
 SEED_TRIALS = list(itertools.product(SEEDS, TRIALS))
@@ -42,13 +42,16 @@ def test_seed_state_matches_seed_sequence(seed, trial):
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(st.integers(0, 2**130 - 1), st.lists(st.integers(0, 2**40 - 1), min_size=1, max_size=6))
-@example(2**128, [2**32, 0, 2**32 - 1, 2**40 - 1])
-def test_seed_state_matches_seed_sequence_for_any_trial_order(seed, trials):
-    # Each seed's prefix is cached; every trial order must finish it alike.
+@given(st.integers(0, 2**130 - 1), st.integers(0, 2**130 - 1),
+       st.lists(st.integers(0, 2**40 - 1), min_size=1, max_size=6))
+@example(2**128, 2**64 + 5, [2**32, 0, 2**32 - 1, 2**40 - 1])
+def test_seed_state_matches_seed_sequence_for_any_trial_order(seed, other, trials):
+    # A trial's state depends only on (seed, trial), never on which seeds and
+    # trials were seeded before it: the two seeds' trials alternate.
     for trial in trials:
-        want = np.random.SeedSequence([seed, trial]).generate_state(4, np.uint64)
-        assert seed_sequence_state([seed, trial]) == tuple(int(word) for word in want)
+        for each in (seed, other):
+            want = np.random.SeedSequence([each, trial]).generate_state(4, np.uint64)
+            assert seed_sequence_state([each, trial]) == tuple(int(word) for word in want)
 
 
 @pytest.mark.parametrize("seed, trial", SEED_TRIALS)
