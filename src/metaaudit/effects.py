@@ -23,6 +23,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import CheckedRecord, DegenerateIntervalError, DomainError, InvalidIntervalError
+from .errors import check_finite, check_label, check_level
 from .normal import std_normal_quantile, two_sided_p
 
 
@@ -55,14 +56,10 @@ class EffectEstimate(CheckedRecord, _EffectEstimate):
 
     def __new__(cls, *args, **kwargs) -> EffectEstimate:
         self = super().__new__(cls, *args, **kwargs)
-        if not self.study_label or not self.study_label.strip():
-            raise DomainError("study_label must be a non-empty string", field="study_label")
-        for name in ("odds_ratio", "ci_low", "ci_high", "ci_level"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise DomainError(f"{name} must be a real number, got {value!r}", field=name)
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value!r}", field=name)
+        check_label("study_label", self.study_label)
+        for name in ("odds_ratio", "ci_low", "ci_high"):
+            check_finite(name, getattr(self, name))
+        check_level("ci_level", self.ci_level)
         if self.odds_ratio <= 0.0:
             raise DomainError(
                 f"odds_ratio must be positive, got {self.odds_ratio}", field="odds_ratio"
@@ -99,8 +96,7 @@ def interval_multiplier(ci_level: float) -> float:
     Cached: nearly every row of a table shares one level. A level whose
     1 - (1 - ci_level)/2 rounds to 0.5 or 1 has no multiplier and raises.
     """
-    if not 0.0 < ci_level < 1.0:
-        raise DomainError(f"ci_level must be inside (0, 1), got {ci_level!r}", field="ci_level")
+    check_level("ci_level", ci_level)
     p = 1.0 - (1.0 - ci_level) / 2.0
     if not 0.5 < p < 1.0:
         raise DomainError(f"ci_level {ci_level!r} is too near 0 or 1", field="ci_level")

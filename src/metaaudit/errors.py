@@ -1,14 +1,18 @@
-"""Exception taxonomy shared across the package, and the base of the records
-whose constructors raise it.
+"""Exception taxonomy shared across the package, the base of the records
+whose constructors raise it, and one checker per kind of scalar they read.
 
 Every failure caused by caller input derives from AuditError so the command
 line layer can map it to exit code 2. Anything else escaping a command is a
-bug and maps to exit code 1.
+bug and maps to exit code 1. A checker raises error (DomainError unless
+given) with field set to the value's name, and returns the value.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Iterable
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class CheckedRecord:
@@ -96,3 +100,39 @@ class CsvFormatError(AuditError):
             for line, column, message in self.diagnostics
         )
         super().__init__(lines or f"{filename}: invalid CSV")
+
+
+def _shown(value: Any) -> str:
+    """repr(value), but not of an int beyond the float range: it may be too long."""
+    if isinstance(value, int) and abs(value) > _FLOAT_MAX:
+        return "an integer beyond the float range"
+    return repr(value)
+
+
+def check_integer(name: str, value: Any, least: int, error: type = DomainError) -> int:
+    """value, if it is an int (no bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {_shown(value)}", field=name)
+    return value
+
+
+def check_finite(name: str, value: Any, error: type = DomainError) -> float:
+    """value as a float, if it is an int or float (no bool) with a finite float."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        return float(value)
+    raise error(f"{name} must be a finite number, got {_shown(value)}", field=name)
+
+
+def check_level(name: str, value: Any, error: type = DomainError) -> float:
+    """value as a float, if it is a float inside (0, 1); no int is inside."""
+    if isinstance(value, float) and 0.0 < value < 1.0:
+        return float(value)
+    raise error(f"{name} must be inside (0, 1), got {_shown(value)}", field=name)
+
+
+def check_label(name: str, value: Any, error: type = DomainError) -> str:
+    """value, if it is a string with a non-blank character."""
+    if not isinstance(value, str) or not value.strip():
+        raise error(f"{name} must be a non-empty string, got {value!r}", field=name)
+    return value

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import check_finite, check_level
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _INV_SQRT_2 = 1.0 / math.sqrt(2.0)
@@ -133,11 +133,9 @@ def std_normal_cdf(z: float) -> float:
         |z| >= 38 where the tail underflows.
 
     Raises:
-        DomainError: if z is NaN or infinite.
+        DomainError: if z is not a finite number.
     """
-    z = float(z)
-    if not math.isfinite(z):
-        raise DomainError(f"std_normal_cdf requires a finite input, got {z!r}")
+    z = check_finite("z", z)
     if z == 0.0:
         return 0.5
     if z < 0.0:
@@ -170,13 +168,9 @@ def std_normal_quantile(p: float) -> float:
         after one Newton step (see the module docstring).
 
     Raises:
-        DomainError: if p is not a finite number strictly inside (0, 1).
+        DomainError: if p is not a float strictly inside (0, 1).
     """
-    p = float(p)
-    if not math.isfinite(p) or not 0.0 < p < 1.0:
-        raise DomainError(
-            f"std_normal_quantile requires 0 < p < 1, got {p!r}"
-        )
+    p = check_level("p", p)
     if p == 0.5:
         return 0.0
 

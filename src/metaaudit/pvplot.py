@@ -40,6 +40,7 @@ from operator import add, mul, sub
 from typing import NamedTuple, Sequence
 
 from .errors import CheckedRecord, ConfigError, DomainError, EmptyInputError
+from .errors import check_finite, check_integer, check_level
 
 # SVG canvas, in pixels.
 _WIDTH = 640
@@ -84,14 +85,9 @@ class PlotConfig(CheckedRecord, _PlotConfig):
         self = super().__new__(cls, *args, **kwargs)
         for name in ("uniform_ks_threshold", "uniform_count_level",
                      "effect_majority_fraction", "bilinear_rss_reduction"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                    or not 0.0 < float(value) < 1.0:
-                raise ConfigError(f"{name} must be inside (0, 1), got {value!r}")
-        for name, least in (("bilinear_min_segment", 2), ("min_points", 1)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < least:
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+            check_level(name, getattr(self, name), ConfigError)
+        check_integer("bilinear_min_segment", self.bilinear_min_segment, 2, ConfigError)
+        check_integer("min_points", self.min_points, 1, ConfigError)
         return self
 
 
@@ -106,11 +102,6 @@ class PlotPoint(NamedTuple):
     label: str
     p_value: float
     negative_effect: bool
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be inside (0, 1), got {alpha!r}", field="alpha")
 
 
 class PValuePlot(NamedTuple):
@@ -150,7 +141,7 @@ class RankedPValues(CheckedRecord, _RankedPValues):
     def __new__(cls, p_values: Sequence[float], alpha: float) -> RankedPValues:
         if not p_values:
             raise EmptyInputError("a p-value plot needs at least one p-value")
-        _check_alpha(alpha)
+        check_level("alpha", alpha)
         for p in p_values:
             if not (isinstance(p, float) and 0.0 <= p <= 1.0):
                 raise DomainError(f"p must be a float in [0, 1], got {p!r}", field="p_values")
@@ -222,7 +213,7 @@ def build_plot(
     """
     if not pvalues:
         raise EmptyInputError("a p-value plot needs at least one p-value")
-    _check_alpha(alpha)
+    check_level("alpha", alpha)
     if negative is None:
         negative = [False] * len(pvalues)
     if len(negative) != len(pvalues):
@@ -230,10 +221,8 @@ def build_plot(
             f"negative flags ({len(negative)}) do not match p-values ({len(pvalues)})"
         )
     for label, p in pvalues:
-        if not isinstance(p, (int, float)) or isinstance(p, bool) or not math.isfinite(p):
-            raise DomainError(f"{label}: p must be a finite number, got {p!r}")
-        if not 0.0 <= p <= 1.0:
-            raise DomainError(f"{label}: p = {p!r} is outside [0, 1]")
+        if not 0.0 <= check_finite("p", p) <= 1.0:
+            raise DomainError(f"{label}: p = {p!r} is outside [0, 1]", field="p")
     keys = [(p, label) for label, p in pvalues]
     order = sorted(range(len(pvalues)), key=keys.__getitem__)
     points = tuple(
@@ -277,10 +266,9 @@ def ks_pvalue(statistic: float, n: int) -> float:
       (8 x^2)) <= 0.16. The terms after w^25 are below 1e-38, and Q
       rounds to 1.0 once w underflows.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n!r}")
-    if not 0.0 <= statistic <= 1.0:
-        raise DomainError(f"KS statistic must be in [0, 1], got {statistic!r}")
+    check_integer("n", n, 1)
+    if not 0.0 <= check_finite("statistic", statistic) <= 1.0:
+        raise DomainError(f"KS statistic must be in [0, 1], got {statistic!r}", field="statistic")
     x = math.sqrt(n) * statistic
     if x < _KS_THETA_BELOW:
         if x == 0.0:
@@ -492,7 +480,7 @@ def classify_plot(
         fit = _two_segment_fit(ps, config.bilinear_min_segment)
     if fit is not None:
         changepoint, total, slopes = fit[0], fit[1], fit[2:]
-        single_rss, _ = _rss([float(i) for i in range(1, n + 1)], ps)
+        single_rss, _ = _rss(_split_grid(n, config.bilinear_min_segment)[0], ps)
         first_mean = math.fsum(ps[:changepoint]) / changepoint
         ceiling = 1.0 - config.bilinear_rss_reduction
         allowed = ceiling * single_rss

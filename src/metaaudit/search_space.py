@@ -13,16 +13,9 @@ import sys
 from typing import NamedTuple, Sequence
 
 from .errors import CheckedRecord, DomainError, EmptyInputError, OverflowGuardError
+from .errors import check_finite, check_integer, check_label, check_level
 
 MAX_COVARIATES = 128
-
-
-def _check_count(name: str, value: int, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"{name} must be an integer, got {value!r}", field=name)
-    if value < minimum:
-        raise DomainError(f"{name} must be >= {minimum}, got {value}", field=name)
-    return value
 
 
 def _check_float_range(name: str, value: float, field: str | None) -> None:
@@ -32,9 +25,9 @@ def _check_float_range(name: str, value: float, field: str | None) -> None:
 
 def block_search_space(outcomes: int, predictors: int, covariates: int) -> int:
     """Exact O * P * 2^C for one model block."""
-    _check_count("outcomes", outcomes, 1)
-    _check_count("predictors", predictors, 1)
-    _check_count("covariates", covariates, 0)
+    check_integer("outcomes", outcomes, 1)
+    check_integer("predictors", predictors, 1)
+    check_integer("covariates", covariates, 0)
     if covariates > MAX_COVARIATES:
         raise OverflowGuardError(
             f"covariates = {covariates} exceeds the guarded maximum of {MAX_COVARIATES}",
@@ -88,8 +81,7 @@ class StudyCounts(CheckedRecord, _StudyCounts):
     _computed = 1
 
     def __new__(cls, paper_label: str, region: str, blocks: tuple[CountBlock, ...]) -> StudyCounts:
-        if not paper_label or not paper_label.strip():
-            raise DomainError("paper_label must be a non-empty string")
+        check_label("paper_label", paper_label)
         if not blocks:
             raise EmptyInputError(f"{paper_label}: a study needs at least one block")
         total = sum(b.search_space for b in blocks)
@@ -100,13 +92,9 @@ class StudyCounts(CheckedRecord, _StudyCounts):
 def expected_false_positives(n_space: float, alpha: float) -> float:
     """Expected count of false-positive analyses, alpha * N. N may be a
     ledger's interpolated median, so it need not be an integer."""
-    # The largest float, not inf, bounds N: a larger int is finite but has no float.
-    finite = isinstance(n_space, (int, float)) and 0 <= n_space <= sys.float_info.max
-    if isinstance(n_space, bool) or not finite:
-        raise DomainError(f"n_space must be finite and >= 0, got {n_space!r}", field="n_space")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be inside (0, 1), got {alpha!r}", field="alpha")
-    return alpha * n_space
+    if check_finite("n_space", n_space) < 0:
+        raise DomainError(f"n_space must be >= 0, got {n_space!r}", field="n_space")
+    return check_level("alpha", alpha) * n_space
 
 
 def cohort_false_positives(
@@ -117,12 +105,11 @@ def cohort_false_positives(
     Scales a typical per-publication search space (its median) by the
     number of publications: alpha * n_publications * median_space.
     """
-    _check_count("n_publications", n_publications, 1)
-    _check_count("median_space", median_space, 0)
+    check_integer("n_publications", n_publications, 1)
+    check_integer("median_space", median_space, 0)
     _check_float_range("n_publications", n_publications, "n_publications")
     _check_float_range("median_space", median_space, "median_space")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be inside (0, 1), got {alpha!r}", field="alpha")
+    check_level("alpha", alpha)
     value = alpha * n_publications * median_space
     # Each factor fits a float, so an overflow is blamed on the larger one.
     larger = "n_publications" if n_publications >= median_space else "median_space"

@@ -995,9 +995,9 @@ def test_cohort_output(capsys):
         (["cohort", "--publications", "107", "--median-nh", "13824", "--alpha", "2"],
          "--alpha: alpha must be inside (0, 1), got 2.0"),
         (["cohort", "--publications", "0", "--median-nh", "13824"],
-         "--publications: n_publications must be >= 1, got 0"),
+         "--publications: n_publications must be an integer >= 1, got 0"),
         (["cohort", "--publications", "107", "--median-nh", "-1"],
-         "--median-nh: median_space must be >= 0, got -1"),
+         "--median-nh: median_space must be an integer >= 0, got -1"),
     ],
     ids=["pool-level", "pool-dl-level", "plot-alpha", "count-alpha", "cohort-alpha",
          "cohort-publications", "cohort-median-nh"],
@@ -1049,9 +1049,9 @@ def test_simulate_rejects_unknown_keys(tmp_path, capsys):
         ("log_or", 10 ** 400, "log_or must be a finite number"),
         ("effect_fraction", "half", "effect_fraction must be a finite number, got 'half'"),
         ("k", "27", "k must be an integer >= 1, got '27'"),
-        ("seed", 1.5, "seed must be a non-negative integer, got 1.5"),
+        ("seed", 1.5, "seed must be an integer >= 0, got 1.5"),
         ("k", "5", "k must be an integer >= 1, got '5'"),
-        ("seed", 1e3, "seed must be a non-negative integer, got 1000.0"),
+        ("seed", 1e3, "seed must be an integer >= 0, got 1000.0"),
     ],
     ids=["se_range-text", "se_range-bool", "log_or-null", "log_or-overflow",
          "effect_fraction-text", "k-text", "seed-float", "k-text-5", "seed-float-1e3"],

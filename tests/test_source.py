@@ -1,0 +1,33 @@
+"""Source checks that no linter runs for: every name that a module of the
+package imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+_PACKAGE = Path(__file__).resolve().parent.parent / "src" / "metaaudit"
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names that source's import statements bind and no expression reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            # import a.b binds a.
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_every_imported_name_is_used(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_an_unused_import_is_found():
+    source = "import os.path\nimport sys as system\nfrom math import exp, log\nlog(system.maxsize)\n"
+    assert _unused_imports(source) == ["exp", "os"]
