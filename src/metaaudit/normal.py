@@ -149,10 +149,12 @@ def two_sided_p(z: float) -> float:
     Computed as 2 * Phi(-|z|), which is the same quantity evaluated without
     the intermediate 1 - x cancellation. Returns exactly 1.0 at z = 0 and
     exactly 0.0 once |z| reaches the CDF saturation point, infinite z
-    included, which an overflowing z = estimate / se can give. A NaN z
-    raises DomainError.
+    included, which an overflowing z = estimate / se can give. Any other z
+    that is not a finite number raises DomainError.
     """
-    if math.isinf(z):
+    if not isinstance(z, float):
+        z = check_finite("z", z)
+    elif math.isinf(z):
         return 0.0
     return min(1.0, 2.0 * std_normal_cdf(-abs(z)))
 

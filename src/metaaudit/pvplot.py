@@ -40,7 +40,7 @@ from operator import add, mul, sub
 from typing import NamedTuple, Sequence
 
 from .errors import CheckedRecord, ConfigError, DomainError, EmptyInputError
-from .errors import check_finite, check_integer, check_level
+from .errors import _shown, check_finite, check_integer, check_level
 
 # SVG canvas, in pixels.
 _WIDTH = 640
@@ -113,9 +113,9 @@ class PValuePlot(NamedTuple):
     alpha: float
 
     @property
-    def p_values(self) -> tuple[float, ...]:
-        """The points' p-values, ascending."""
-        return tuple([point.p_value for point in self.points])
+    def ranked(self) -> RankedPValues:
+        """The points' p-values at alpha, built by RankedPValues, so its checks run."""
+        return RankedPValues([point.p_value for point in self.points], self.alpha)
 
 
 class _RankedPValues(NamedTuple):
@@ -128,11 +128,11 @@ class _RankedPValues(NamedTuple):
 class RankedPValues(CheckedRecord, _RankedPValues):
     """A plot's p-values alone, ascending, with no labels or points.
 
-    It is classify_plot's input: a simulation trial builds one from its
-    draws, and an audit from its PValuePlot's p_values and alpha. It
-    rejects what build_plot rejects, and also a p-value that is not a
-    float; n and n_below_alpha are computed, the second by bisection at
-    alpha.
+    It is what classify_plot and ks_statistic take: a simulation trial
+    builds one from its draws, and an audit takes PValuePlot.ranked. It
+    is the one check of a plot's p-values, build_plot's too: at least
+    one, each a float in [0, 1], at an alpha inside (0, 1). n and
+    n_below_alpha are computed, the second by bisection at alpha.
     """
 
     __slots__ = ()
@@ -144,7 +144,8 @@ class RankedPValues(CheckedRecord, _RankedPValues):
         check_level("alpha", alpha)
         for p in p_values:
             if not (isinstance(p, float) and 0.0 <= p <= 1.0):
-                raise DomainError(f"p must be a float in [0, 1], got {p!r}", field="p_values")
+                raise DomainError(f"p_values must be floats in [0, 1], got {_shown(p)}",
+                                  field="p_values")
         ordered = tuple(sorted(map(float, p_values)))
         return super().__new__(cls, ordered, alpha, len(ordered), bisect_left(ordered, alpha))
 
@@ -202,35 +203,30 @@ def build_plot(
     """Sort labeled p-values into a plot.
 
     Args:
-        pvalues: (label, p) pairs; every p must lie in [0, 1].
+        pvalues: (label, p) pairs; every p must be a float in [0, 1].
         alpha: significance threshold used for the below-alpha count.
         negative: optional parallel flags marking negative-direction
             sources (odds ratio < 1); defaults to all False.
 
     Raises:
-        EmptyInputError: if pvalues is empty.
-        DomainError: on out-of-range p, alpha, or mismatched flag length.
+        EmptyInputError, DomainError: as RankedPValues, which checks the
+            p-values and alpha and counts n and n_below_alpha; DomainError
+            also on a mismatched flag length.
     """
-    if not pvalues:
-        raise EmptyInputError("a p-value plot needs at least one p-value")
-    check_level("alpha", alpha)
+    ranked = RankedPValues([p for _, p in pvalues], alpha)
     if negative is None:
         negative = [False] * len(pvalues)
     if len(negative) != len(pvalues):
         raise DomainError(
             f"negative flags ({len(negative)}) do not match p-values ({len(pvalues)})"
         )
-    for label, p in pvalues:
-        if not 0.0 <= check_finite("p", p) <= 1.0:
-            raise DomainError(f"{label}: p = {p!r} is outside [0, 1]", field="p")
     keys = [(p, label) for label, p in pvalues]
     order = sorted(range(len(pvalues)), key=keys.__getitem__)
     points = tuple(
         PlotPoint(rank, pvalues[i][0], float(pvalues[i][1]), bool(negative[i]))
         for rank, i in enumerate(order, 1)
     )
-    below = sum(1 for point in points if point.p_value < alpha)
-    return PValuePlot(points=points, n=len(points), n_below_alpha=below, alpha=alpha)
+    return PValuePlot(points, ranked.n, ranked.n_below_alpha, alpha)
 
 
 @lru_cache(maxsize=64)
@@ -239,17 +235,17 @@ def _ks_steps(n: int) -> tuple[float, ...]:
     return tuple(i / n for i in range(n + 1))
 
 
-def ks_statistic(pvalues: Sequence[float]) -> float:
-    """One-sample KS distance of pvalues from Uniform(0, 1).
+def ks_statistic(ranked: RankedPValues) -> float:
+    """One-sample KS distance of a RankedPValues' p-values from Uniform(0, 1).
 
-    D = max over i of max(i/n - p_(i), p_(i) - (i-1)/n) on the sorted
-    sample, the exact supremum of |empirical CDF - uniform CDF|.
+    D = max over i of max(i/n - p_(i), p_(i) - (i-1)/n) on the record's
+    sorted p-values, the exact supremum of |empirical CDF - uniform CDF|.
+    Anything but a RankedPValues raises TypeError.
     """
-    if not pvalues:
-        raise EmptyInputError("KS statistic needs at least one value")
-    ordered = sorted(pvalues)
-    steps = _ks_steps(len(ordered))
-    return max(max(map(sub, steps[1:], ordered)), max(map(sub, ordered, steps)))
+    if not isinstance(ranked, RankedPValues):
+        raise TypeError(f"ks_statistic takes a RankedPValues, got {type(ranked).__name__}")
+    ps, steps = ranked.p_values, _ks_steps(ranked.n)
+    return max(max(map(sub, steps[1:], ps)), max(map(sub, ps, steps)))
 
 
 def ks_pvalue(statistic: float, n: int) -> float:
@@ -266,7 +262,7 @@ def ks_pvalue(statistic: float, n: int) -> float:
       (8 x^2)) <= 0.16. The terms after w^25 are below 1e-38, and Q
       rounds to 1.0 once w underflows.
     """
-    check_integer("n", n, 1)
+    check_finite("n", check_integer("n", n, 1))
     if not 0.0 <= check_finite("statistic", statistic) <= 1.0:
         raise DomainError(f"KS statistic must be in [0, 1], got {statistic!r}", field="statistic")
     x = math.sqrt(n) * statistic
@@ -455,7 +451,7 @@ def classify_plot(
         raise TypeError(f"classify_plot takes a RankedPValues, got {type(ranked).__name__}")
     ps, alpha, n, below = ranked
     fraction = below / n
-    stat = ks_statistic(ps)
+    stat = ks_statistic(ranked)
     ks_p = ks_pvalue(stat, n)
     admissible = _admissible_below_alpha(n, alpha, config.uniform_count_level)
     least = config.min_points

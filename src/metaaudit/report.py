@@ -99,7 +99,7 @@ def audit_report(
     pairs = [(e.display_label(), row[f"p_{method.value}"]) for e, row in zip(rows, conversions)]
     plot = pvplot.build_plot(pairs, alpha, [e.odds_ratio < 1.0 for e in rows])
     config = pvplot.PlotConfig()
-    classification = pvplot.classify_plot(pvplot.RankedPValues(plot.p_values, plot.alpha), config)
+    classification = pvplot.classify_plot(plot.ranked, config)
     pooled = {
         "fixed": pooling.pool_fixed(rows),
         "dersimonian_laird": pooling.pool_dersimonian_laird(rows),

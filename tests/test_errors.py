@@ -31,11 +31,13 @@ from metaaudit import (
     std_normal_quantile,
 )
 from metaaudit.errors import check_finite, check_integer
+from metaaudit.normal import two_sided_p
 
 # The bad values of each kind, and the wording that rejects them.
 _NOT_FINITE = [True, "0.5", None, math.nan, math.inf, -math.inf, 10**400]
 _NUMBERS = (_NOT_FINITE, "a finite number")
 _LEVELS = (_NOT_FINITE, "inside (0, 1)")
+_P_VALUES = ([*_NOT_FINITE, 1, -0.5, 1.5], "floats in [0, 1]")
 _INTEGERS = ([True, "0.5", None, math.nan, math.inf, -math.inf, 2.5, -1], "an integer >= ")
 _LABELS = ([5, None, True, "", " \t"], "a non-empty string")
 
@@ -60,11 +62,15 @@ _CASES = [
                   "bilinear_rss_reduction")],
     *[(f"PlotConfig.{key}", lambda v, key=key: PlotConfig(**{key: v}), ConfigError, key,
        _INTEGERS) for key in ("bilinear_min_segment", "min_points")],
-    ("build_plot.p", lambda v: build_plot([("a", 0.5), ("b", v)]), DomainError, "p", _NUMBERS),
+    ("build_plot.p", lambda v: build_plot([("a", 0.5), ("b", v)]), DomainError, "p_values",
+     _P_VALUES),
+    ("RankedPValues.p_values", lambda v: RankedPValues((0.5, v), 0.05), DomainError, "p_values",
+     _P_VALUES),
     ("build_plot.alpha", lambda v: build_plot([("a", 0.5)], alpha=v), DomainError, "alpha",
      _LEVELS),
     ("RankedPValues.alpha", lambda v: RankedPValues((0.5,), v), DomainError, "alpha", _LEVELS),
     ("ks_pvalue.n", lambda v: ks_pvalue(0.1, v), DomainError, "n", _INTEGERS),
+    ("ks_pvalue.n", lambda v: ks_pvalue(0.1, v), DomainError, "n", ([10**400], "a finite number")),
     ("ks_pvalue.statistic", lambda v: ks_pvalue(v, 5), DomainError, "statistic", _NUMBERS),
     ("EffectEstimate.study_label",
      lambda v: EffectEstimate(**{**_EFFECT, "study_label": v}), DomainError, "study_label",
@@ -98,6 +104,8 @@ _CASES = [
     ("cohort_false_positives.alpha", lambda v: cohort_false_positives(3, 5, v),
      DomainError, "alpha", _LEVELS),
     ("std_normal_cdf", std_normal_cdf, DomainError, "z", _NUMBERS),
+    ("two_sided_p", two_sided_p, DomainError, "z",
+     ([True, "0.5", None, math.nan, 10**400], "a finite number")),
     ("std_normal_quantile", std_normal_quantile, DomainError, "p", _LEVELS),
 ]
 
@@ -125,8 +133,9 @@ def test_a_bad_scalar_raises_its_audit_error_with_the_field(call, value, error, 
 @pytest.mark.parametrize(
     "check, value",
     [(check_finite, 10**5000), (check_finite, -(10**5000)),
-     (lambda name, value: check_integer(name, value, 0), -(10**5000))],
-    ids=["finite-above", "finite-below", "integer-below"],
+     (lambda name, value: check_integer(name, value, 0), -(10**5000)),
+     (lambda name, value: RankedPValues((0.5, value), 0.05), 10**5000)],
+    ids=["finite-above", "finite-below", "integer-below", "p-value-above"],
 )
 def test_an_int_too_long_to_print_is_named_not_printed(check, value):
     # repr of an int over sys.get_int_max_str_digits() digits raises ValueError.

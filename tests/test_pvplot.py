@@ -52,7 +52,7 @@ def _labeled(ps):
 
 def _classify(plot, *args, **kwargs):
     """classify_plot of a labelled plot's p-values, as audit_report calls it."""
-    return classify_plot(RankedPValues(plot.p_values, plot.alpha), *args, **kwargs)
+    return classify_plot(plot.ranked, *args, **kwargs)
 
 
 def _checks(classification):
@@ -122,15 +122,15 @@ _REJECTED_BY_BOTH = [
     ((0.5,), -0.05, DomainError),
     ((0.5,), math.nan, DomainError),
     ((0.5,), True, DomainError),
+    # A p-value must be a float: an int is refused, one too long to print too.
+    ((1,), 0.05, DomainError),
+    ((0.5, 0), 0.05, DomainError),
+    ((10**5000,), 0.05, DomainError),
 ]
 
 
-@pytest.mark.parametrize(
-    "ps, alpha, error",
-    [*_REJECTED_BY_BOTH, ((1,), 0.05, DomainError), ((0.5, 0), 0.05, DomainError)],
-)
+@pytest.mark.parametrize("ps, alpha, error", _REJECTED_BY_BOTH)
 def test_ranked_p_values_rejections_hold_however_the_record_is_built(ps, alpha, error):
-    # A p-value must be a float: the record takes a trial's draws, never ints.
     unchecked = tuple.__new__(RankedPValues, (ps, alpha, len(ps), 0))
     builders = {
         "constructor": lambda: RankedPValues(ps, alpha),
@@ -149,8 +149,20 @@ def test_ranked_p_values_rejections_hold_however_the_record_is_built(ps, alpha, 
 
 @pytest.mark.parametrize("ps, alpha, error", _REJECTED_BY_BOTH)
 def test_build_plot_rejects_what_ranked_p_values_rejects(ps, alpha, error):
-    with pytest.raises(error):
+    with pytest.raises(error) as plotted:
         build_plot(_labeled(ps), alpha)
+    with pytest.raises(error) as ranked:
+        RankedPValues(ps, alpha)
+    assert (str(plotted.value), plotted.value.field) == (str(ranked.value), ranked.value.field)
+
+
+def test_a_plot_ranks_its_p_values_through_the_checks():
+    plot = build_plot(_labeled([0.3, 0.01, 0.7]), alpha=0.05)
+    assert plot.ranked == RankedPValues((0.01, 0.3, 0.7), 0.05)
+    assert not hasattr(plot, "p_values")
+    edited = plot._replace(points=(plot.points[0]._replace(p_value=1.5),))
+    with pytest.raises(DomainError, match="p_values must be floats in"):
+        edited.ranked
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -180,7 +192,7 @@ def test_ranked_p_values_classify_as_their_plot_bit_for_bit(ps, alpha, min_segme
     config = PlotConfig(bilinear_min_segment=min_segment, min_points=min_points)
     plot = build_plot([(f"s{len(ps) - i:03d}", p) for i, p in enumerate(ps)], alpha)
     ranked = RankedPValues(ps, alpha)
-    assert ranked.p_values == plot.p_values
+    assert plot.ranked == ranked
     assert ranked[1:] == (plot.alpha, plot.n, plot.n_below_alpha)
     full = classify_plot(ranked, config)
     early = classify_plot(ranked, config, every_rule=False)
@@ -213,7 +225,7 @@ def _reference_verdict(ranked, config):
     if below / n > config.effect_majority_fraction:
         return PlotVerdict.EFFECT_LINE
     admissible = pvplot._admissible_below_alpha(n, alpha, config.uniform_count_level)
-    if ks_pvalue(ks_statistic(ps), n) >= config.uniform_ks_threshold and below <= admissible:
+    if ks_pvalue(ks_statistic(ranked), n) >= config.uniform_ks_threshold and below <= admissible:
         return PlotVerdict.UNIFORM45
     fit = _two_segment_fit(ps, config.bilinear_min_segment)
     if fit is not None:
@@ -233,7 +245,8 @@ def test_ks_statistic_matches_scipy():
     for n in (5, 13, 27, 100):
         ps = rng.uniform(size=n)
         expected = scipy.stats.kstest(ps, "uniform").statistic
-        assert ks_statistic(list(ps)) == pytest.approx(expected, abs=1e-12)
+        ranked = RankedPValues(ps.tolist(), 0.05)
+        assert ks_statistic(ranked) == pytest.approx(expected, abs=1e-12)
 
 
 def _former_ks_statistic(pvalues):
@@ -256,7 +269,7 @@ def _former_ks_statistic(pvalues):
 @example([1.0, 0.0, 0.5, 0.5, 0.05])
 def test_ks_statistic_equals_the_former_loop_bit_for_bit(ps):
     # Unsorted input, ties, the ends 0.0 and 1.0 and n = 1 all occur.
-    assert ks_statistic(ps).hex() == _former_ks_statistic(ps).hex()
+    assert ks_statistic(RankedPValues(ps, 0.05)).hex() == _former_ks_statistic(ps).hex()
 
 
 def _kolmogorov_mp(x):
@@ -344,9 +357,11 @@ def test_admissible_below_alpha_at_large_n():
     assert pvplot._admissible_below_alpha(14_600, 0.05, 0.05) == 774
 
 
-def test_ks_statistic_empty_raises():
-    with pytest.raises(EmptyInputError):
-        ks_statistic([])
+def test_ks_statistic_takes_only_ranked_p_values():
+    # A bare sample skips the checks: [2.0, 0.5] would give a distance of 1.5.
+    for sample in ([], [2.0, 0.5], (0.1, 0.5, 0.9), build_plot(_labeled([0.1, 0.5]))):
+        with pytest.raises(TypeError, match="ks_statistic takes a RankedPValues, got "):
+            ks_statistic(sample)
 
 
 def test_fixture_verdicts():

@@ -13,7 +13,6 @@ from metaaudit import (
     ConversionMethod,
     DomainError,
     PlotConfig,
-    RankedPValues,
     Scenario,
     SimulationConfig,
     canonical_json,
@@ -78,7 +77,7 @@ def _every_record():
     """One instance of each of the package's record types."""
     effects = ingest_effects(fixture_path("asthma_effects.csv"))
     plot = audit_report(effects, ConversionMethod.NATURAL)["plot"]
-    ranked = RankedPValues(plot.p_values, plot.alpha)
+    ranked = plot.ranked
     classification = classify_plot(ranked, PlotConfig())
     studies = ingest_counts(fixture_path("lungfunction_blocks.csv"))
     config = SimulationConfig(Scenario.NULL, k=13, trials=2, seed=1)
