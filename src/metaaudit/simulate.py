@@ -45,10 +45,14 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
+from . import _lazy
 from .errors import CheckedRecord, ConfigError, check_finite, check_integer
-from .normal import std_normal_quantile, two_sided_p
 from .pcg64 import open_uniform, pcg64_stream, skip_open_uniforms, uniform
 from .pvplot import PlotConfig, PlotVerdict, RankedPValues, classify_plot
+
+# Only an effect study calls into normal, so a run whose studies are all
+# null never executes it.
+normal = _lazy("normal")
 
 # The significance level at which every trial's p-values are read.
 _ALPHA = 0.05
@@ -147,8 +151,8 @@ def simulate_trial(config: SimulationConfig, trial_index: int) -> tuple[float, .
         if true_log_or == 0.0:
             ps.append(2.0 * (u if u < 0.5 else 1.0 - u))
         else:
-            z = std_normal_quantile(u)
-            ps.append(two_sided_p((true_log_or + se * z) / se))
+            z = normal.std_normal_quantile(u)
+            ps.append(normal.two_sided_p((true_log_or + se * z) / se))
     return tuple(ps)
 
 

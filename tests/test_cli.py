@@ -452,8 +452,10 @@ if len(sys.argv) > 1:
 _AT_IMPORT = {"metaaudit", "cli", "errors"}
 # ingest imports csv; reading an effects file executes effects (and so normal).
 _INGEST = {"ingest", "effects", "normal"}
-_ALL_MODULES = _AT_IMPORT | _INGEST | {"pcg64", "pooling", "pvplot", "report", "reproduce",
-                                       "search_space", "simulate"}
+_ALL_MODULES = _AT_IMPORT | _INGEST | {"figure", "pcg64", "pooling", "pvplot", "report",
+                                       "reproduce", "search_space", "simulate"}
+# A simulate run draws no figure; only an effect study executes normal.
+_SIMULATE = _AT_IMPORT | {"pcg64", "pvplot", "report", "simulate"}
 
 
 @pytest.mark.parametrize(
@@ -466,19 +468,21 @@ _ALL_MODULES = _AT_IMPORT | _INGEST | {"pcg64", "pooling", "pvplot", "report", "
         (["count", "{ledger}"], _AT_IMPORT | {"ingest", "search_space", "report"}, True),
         (["cohort", "--publications", "107", "--median-nh", "13824"],
          _AT_IMPORT | {"report", "search_space"}, False),
-        (["simulate", "--config", "{config}"],
-         _AT_IMPORT | {"normal", "pcg64", "pvplot", "report", "simulate"}, False),
+        (["simulate", "--config", "{config}"], _SIMULATE, False),
+        (["simulate", "--config", "{mixture}"], _SIMULATE | {"normal"}, False),
         (["plot", "{asthma}", "--outdir", "{out}"],
          _ALL_MODULES - {"pcg64", "search_space", "simulate", "reproduce"}, True),
         (["reproduce", "--outdir", "{out}"], _ALL_MODULES - {"pcg64", "simulate"}, True),
     ],
-    ids=["import", "convert", "pool", "count", "cohort", "simulate", "plot", "reproduce"],
+    ids=["import", "convert", "pool", "count", "cohort", "simulate", "simulate-mixture", "plot",
+         "reproduce"],
 )
 def test_each_command_executes_only_the_modules_it_uses(tmp_path, command, modules, loads_csv):
     paths = {
         "asthma": fixture_path("asthma_effects.csv"),
         "ledger": fixture_path("hypothesis_counts.csv"),
         "config": _write(tmp_path, "sim.json", json.dumps(SIM_NULL)),
+        "mixture": _write(tmp_path, "mix.json", json.dumps(SIM_MIXTURE)),
         "out": tmp_path / "out",
     }
     package_root = Path(metaaudit.__file__).parent.parent

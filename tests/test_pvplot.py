@@ -29,6 +29,7 @@ from metaaudit import (
     PlotConfig,
     PlotPoint,
     PlotVerdict,
+    PValuePlot,
     RankedPValues,
     audit_report,
     build_plot,
@@ -160,9 +161,31 @@ def test_a_plot_ranks_its_p_values_through_the_checks():
     plot = build_plot(_labeled([0.3, 0.01, 0.7]), alpha=0.05)
     assert plot.ranked == RankedPValues((0.01, 0.3, 0.7), 0.05)
     assert not hasattr(plot, "p_values")
-    edited = plot._replace(points=(plot.points[0]._replace(p_value=1.5),))
     with pytest.raises(DomainError, match="p_values must be floats in"):
-        edited.ranked
+        plot._replace(points=(plot.points[0]._replace(p_value=1.5),))
+
+
+def test_a_plot_counts_its_points_however_it_is_built():
+    plot = build_plot(_labeled([0.3, 0.01, 0.7]), alpha=0.05)
+    assert plot._fields == ("points", "alpha", "n", "n_below_alpha")
+    assert (plot.n, plot.n_below_alpha) == (3, 1)
+    # The first point alone, p = 0.01, and a record that still counts three.
+    first = plot.points[:1]
+    stale = tuple.__new__(PValuePlot, (first, 0.05, 3, 1))
+    builders = {
+        "constructor": lambda: PValuePlot(first, 0.05),
+        "_replace": lambda: plot._replace(points=first),
+        "_make": lambda: PValuePlot._make((first, 0.05, 3, 1)),
+        "copy": lambda: copy.copy(stale),
+        "pickle": lambda: pickle.loads(pickle.dumps(stale)),
+    }
+    for name, build in builders.items():
+        assert tuple(build()) == (first, 0.05, 1, 1), name
+    assert plot._replace(alpha=0.5)[2:] == (3, 2)
+    assert PValuePlot._make(plot) == plot
+    assert pickle.loads(pickle.dumps(plot)) == plot
+    with pytest.raises(TypeError):
+        plot._replace(n=1)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

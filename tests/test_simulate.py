@@ -74,8 +74,10 @@ def test_null_studies_skip_the_normal_quantile_and_cdf(monkeypatch):
     def forbidden(value):
         raise AssertionError(f"normal function called on {value!r}")
 
-    monkeypatch.setattr(simulate, "std_normal_quantile", forbidden)
-    monkeypatch.setattr(simulate, "two_sided_p", forbidden)
+    # simulate reads both through its module binding at each call, as
+    # perfbench's tracer and mock.patch see them.
+    monkeypatch.setattr(simulate.normal, "std_normal_quantile", forbidden)
+    monkeypatch.setattr(simulate.normal, "two_sided_p", forbidden)
     zero = SimulationConfig(
         scenario=Scenario.FIXED_EFFECT, k=27, trials=3, seed=2027, log_or=0.0
     )
