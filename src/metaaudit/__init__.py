@@ -9,14 +9,11 @@ example datasets.
 
 Public names are listed once, in ``_EXPORTS``, and each is loaded from its
 defining module on first access, so ``import metaaudit`` loads no submodule.
-``_lazy`` does the same for whole submodules: the CLI and the report
-builders hold lazy references, so each command executes only the modules it
-calls into.
+A submodule that only some functions use is imported inside each of them,
+so each command executes only the modules it uses.
 """
 
-import sys
-from importlib import import_module, util
-from types import ModuleType
+from importlib import import_module
 
 __version__ = "0.1.0"
 
@@ -91,21 +88,3 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return __all__
 
-
-def _lazy(name: str) -> ModuleType:
-    """Submodule ``name``, registered now and executed on first attribute access.
-
-    It goes into sys.modules and onto the package as an import would put it,
-    so ``import``, ``unittest.mock.patch`` and perfbench's tracer all see
-    the one module object.
-    """
-    fullname = f"{__name__}.{name}"
-    module = sys.modules.get(fullname)
-    if module is None:
-        spec = util.find_spec(fullname)
-        spec.loader = util.LazyLoader(spec.loader)
-        module = util.module_from_spec(spec)
-        sys.modules[fullname] = module
-        spec.loader.exec_module(module)
-        globals()[name] = module
-    return module

@@ -21,20 +21,25 @@ import argparse
 import io
 import os
 import sys
+from importlib import util
 from pathlib import Path
 from typing import Any
 
-from . import __version__, _lazy
+from . import __version__
 from .errors import AuditError, ConfigError
 
-# Executed on first use, so a command loads only the modules it calls.
-effects = _lazy("effects")
-ingest = _lazy("ingest")
-pooling = _lazy("pooling")
-pvplot = _lazy("pvplot")
-report = _lazy("report")
-reproduce = _lazy("reproduce")
-simulate = _lazy("simulate")
+# perfbench's tracer wraps functions only in the modules that sys.modules
+# lists just after `import metaaudit.cli`. So each module holding one of its
+# targets is registered here, as an import would register it, to execute on
+# its first attribute access; a function's `from . import` finds it here.
+for _name in ("effects", "ingest", "normal", "pooling", "pvplot", "report", "reproduce",
+              "search_space", "simulate"):
+    if f"{__package__}.{_name}" not in sys.modules:
+        _spec = util.find_spec(f"{__package__}.{_name}")
+        _spec.loader = util.LazyLoader(_spec.loader)
+        sys.modules[_spec.name] = _module = util.module_from_spec(_spec)
+        _spec.loader.exec_module(_module)
+        setattr(sys.modules[__package__], _name, _module)
 
 
 def _print_error(message: str) -> None:
@@ -48,17 +53,23 @@ def _write_text(output: str | None, text: str) -> None:
     if output is None or output == "-":
         sys.stdout.write(text)
     else:
+        from . import report
+
         report.write_text(Path(output), text)
 
 
 def _emit(output: str | None, payload: dict[str, Any]) -> int:
     """Write payload as a version-stamped document."""
+    from . import report
+
     _write_text(output, report.document_json(payload))
     return 0
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
     import csv  # Only convert writes CSV here; simulate and cohort never load it.
+
+    from . import effects, ingest
 
     rows = ingest.ingest_effects(args.input)
     method = effects.ConversionMethod(args.method)
@@ -74,6 +85,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_pool(args: argparse.Namespace) -> int:
+    from . import ingest, pooling
+
     rows = ingest.ingest_effects(args.input)
     pool = pooling.pool_fixed if args.model == "fixed" else pooling.pool_dersimonian_laird
     result = pool(rows, ci_level=args.level)
@@ -81,6 +94,8 @@ def _cmd_pool(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
+    from . import effects, ingest, pvplot, report
+
     path = Path(args.input)
     audit = report.audit_report(ingest.ingest_effects(path),
                                 effects.ConversionMethod(args.method), args.alpha)
@@ -102,16 +117,22 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    from . import ingest, report
+
     return _emit(args.output, report.count_report(ingest.ingest_counts(args.input), args.alpha))
 
 
 def _cmd_cohort(args: argparse.Namespace) -> int:
+    from . import report
+
     return _emit(args.output, report.cohort_report(args.publications, args.median_nh, args.alpha))
 
 
 def _load_sim_config(path: str) -> simulate.SimulationConfig:
     """The config at path; its keys are SimulationConfig's fields."""
     import json  # Only this reader parses JSON; report imports it to write.
+
+    from . import simulate
 
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -141,11 +162,15 @@ def _load_sim_config(path: str) -> simulate.SimulationConfig:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from . import simulate
+
     result = simulate.run_simulation(_load_sim_config(args.config))
     return _emit(args.output, result._asdict())
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
+    from . import reproduce
+
     diff = reproduce.run_reproduction(args.outdir)
     summary = diff["summary"]
     outdir = Path(args.outdir)
@@ -168,6 +193,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 def _method_options() -> dict[str, Any]:
     """--method's options, read from effects only when a parser takes the flag."""
+    from . import effects
+
     methods = effects.ConversionMethod
     return dict(choices=[m.value for m in methods], default=methods.LOG.value,
                 help="interval reading used to recover the standard error")
@@ -180,10 +207,10 @@ _FP_RATE = {"--alpha": dict(type=float, default=0.05, help="false-positive rate 
 
 # Each subcommand: its handler, its help, and the add_argument options of
 # each of its arguments (or a function that returns them), by name, in usage
-# order. Library functions stay out of this table: a handler reads each from
-# its lazy module when it runs, so only that command's modules load, and a
-# function patched on its module (perfbench's tracer, unittest.mock.patch)
-# is the one called.
+# order. Library functions stay out of this table: a handler imports the
+# modules it calls when it runs and reads each function from its module, so
+# only that command's modules execute, and a function patched on its module
+# (perfbench's tracer, unittest.mock.patch) is the one called.
 _COMMANDS = {
     "convert": (_cmd_convert, "convert OR/CI rows to two-sided p-values (CSV out)",
                 {**_EFFECTS, **_METHOD, **_OUTPUT}),

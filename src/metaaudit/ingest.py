@@ -36,7 +36,6 @@ import warnings
 from pathlib import Path
 from typing import Any, Callable
 
-from . import _lazy
 from .errors import AuditError, CsvFormatError, EmptyInputError, InputFileError
 
 # CPython's own SHA-256: hashlib would load OpenSSL's libcrypto, a few
@@ -48,10 +47,6 @@ except ImportError:
         from _sha256 import sha256  # CPython 3.10 and 3.11
     except ImportError:
         from hashlib import sha256
-
-# Each is needed by one kind of file only; executed on first use.
-effects = _lazy("effects")
-search_space = _lazy("search_space")
 
 # Cells echoed in error messages are cut to this many characters.
 _QUOTE_CHARS = 40
@@ -201,6 +196,8 @@ def ingest_effects(path: str | Path) -> Ingested:
     re-issued located at the row: file:line instead of the code that
     raised them.
     """
+    from . import effects
+
     path = Path(path)
     rows, diagnostics, data = _read(path, effects.EffectEstimate, EFFECT_COLUMNS, ci_level=_number)
     if diagnostics:
@@ -214,6 +211,8 @@ def ingest_counts(path: str | Path) -> Ingested:
     Papers keep their first-appearance order; a paper's region must agree
     across its rows.
     """
+    from . import search_space
+
     path = Path(path)
     # Each paper's region and blocks, in first-appearance order.
     papers: dict[str, tuple[str, list[search_space.CountBlock]]] = {}

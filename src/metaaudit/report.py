@@ -20,15 +20,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Any
 
-from . import __version__, _lazy
+from . import __version__
 from .errors import DomainError, OutputFileError
-
-# Executed on first use: cohort and simulate need none of the builders' modules.
-effects = _lazy("effects")
-ingest = _lazy("ingest")
-pooling = _lazy("pooling")
-pvplot = _lazy("pvplot")
-search_space = _lazy("search_space")
 
 
 def _canonical_value(value: Any) -> Any:
@@ -91,6 +84,8 @@ def audit_report(
     The plot is judged under the default PlotConfig with every rule traced;
     the config block holds the plot's alpha beside those thresholds.
     """
+    from . import effects, pooling, pvplot
+
     p_from_effect, methods = effects.p_from_effect, effects.ConversionMethod
     conversions = [
         {**e._asdict(), **{f"p_{m.value}": p_from_effect(e, m) for m in methods}}
@@ -117,6 +112,8 @@ def audit_report(
 
 def count_report(studies: ingest.Ingested, alpha: float) -> dict[str, Any]:
     """A ledger's per-paper search spaces N with alpha * N, and their summary."""
+    from . import search_space
+
     expected_false_positives = search_space.expected_false_positives
     summary = search_space.summarize_ledger(studies)
     return {
@@ -138,6 +135,8 @@ def count_report(studies: ingest.Ingested, alpha: float) -> dict[str, Any]:
 
 def cohort_report(publications: int, median_space: int, alpha: float) -> dict[str, Any]:
     """Expected false positives across a cohort of publications."""
+    from . import search_space
+
     value = search_space.cohort_false_positives(publications, median_space, alpha)
     return {
         "publications": publications,

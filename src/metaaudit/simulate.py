@@ -45,14 +45,9 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from . import _lazy
 from .errors import CheckedRecord, ConfigError, check_finite, check_integer
 from .pcg64 import open_uniform, pcg64_stream, skip_open_uniforms, uniform
 from .pvplot import PlotConfig, PlotVerdict, RankedPValues, classify_plot
-
-# Only an effect study calls into normal, so a run whose studies are all
-# null never executes it.
-normal = _lazy("normal")
 
 # The significance level at which every trial's p-values are read.
 _ALPHA = 0.05
@@ -137,6 +132,10 @@ def simulate_trial(config: SimulationConfig, trial_index: int) -> tuple[float, .
     if log_or == 0.0 and not mixture:
         us = skip_open_uniforms(entropy, config.k)
         return tuple([2.0 * (u if u < 0.5 else 1.0 - u) for u in us])
+    # Only a trial whose scenario can carry an effect gets here, so a run
+    # whose studies are all null never executes normal.
+    from . import normal
+
     draw = pcg64_stream(entropy).__next__
     low, high = config.se_range
     span = high - low

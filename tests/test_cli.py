@@ -502,8 +502,7 @@ PATCHED_ON_ITS_MODULE = """
 import sys
 from unittest import mock
 import metaaudit.cli
-effects, ingest, simulate = (sys.modules[f"metaaudit.{name}"]
-                             for name in ("effects", "ingest", "simulate"))
+from metaaudit import effects, ingest, simulate
 table, config, output = sys.argv[1:]
 with mock.patch.object(ingest, "ingest_effects", wraps=ingest.ingest_effects) as spy:
     assert metaaudit.cli.main(["pool", table, "--model", "fixed", "--output", output]) == 0
@@ -1074,6 +1073,13 @@ def test_simulate_rejects_bad_json(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["[]", "1", '"x"'], ids=["list", "number", "string"])
+def test_simulate_rejects_json_that_is_not_an_object(tmp_path, capsys, text):
+    config = _write(tmp_path, "sim.json", text)
+    assert main(["simulate", "--config", config]) == 2
+    assert capsys.readouterr().err == f"error: {config}: simulation config must be a JSON object\n"
+
+
 def test_reproduce_passes_and_is_deterministic(tmp_path, capsys):
     first = tmp_path / "a"
     second = tmp_path / "b"
@@ -1087,6 +1093,20 @@ def test_reproduce_passes_and_is_deterministic(tmp_path, capsys):
     report = json.loads((first / "reproduction.json").read_text(encoding="utf-8"))
     assert report["summary"]["all_gated_pass"] is True
     assert report["summary"]["informational"] == 6
+
+
+def test_reproduce_exits_1_and_names_each_failing_gated_check(tmp_path, capsys, monkeypatch):
+    from metaaudit import reproduce
+
+    monkeypatch.setattr(reproduce, "EXPECTED_LUNGFUNCTION_TOTAL", 461000)
+    monkeypatch.setattr(reproduce, "EXPECTED_COHORT_FP_ROUNDED", 73900)
+    assert main(["reproduce", "--outdir", str(tmp_path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:] == [
+        "gated checks: 73/75 passed, 6 informational",
+        "  FAIL lungfunction_total: computed 461440, expected 461000 (|delta| 440 > 0)",
+        "  FAIL cohort_fp_rounded: computed 73958, expected 73900 (|delta| 58 > 0)",
+    ]
 
 
 def _written_documents(tmp_path):

@@ -24,9 +24,11 @@ from metaaudit import (
     expected_false_positives,
     interval_multiplier,
     ks_pvalue,
+    p_from_effect,
     pool_dersimonian_laird,
     pool_fixed,
     simulate_trial,
+    standard_error,
     std_normal_cdf,
     std_normal_quantile,
 )
@@ -72,6 +74,8 @@ _CASES = [
     ("ks_pvalue.n", lambda v: ks_pvalue(0.1, v), DomainError, "n", _INTEGERS),
     ("ks_pvalue.n", lambda v: ks_pvalue(0.1, v), DomainError, "n", ([10**400], "a finite number")),
     ("ks_pvalue.statistic", lambda v: ks_pvalue(v, 5), DomainError, "statistic", _NUMBERS),
+    ("ks_pvalue.statistic", lambda v: ks_pvalue(v, 5), DomainError, "statistic",
+     ([1.5, -0.1], "in [0, 1]")),
     ("EffectEstimate.study_label",
      lambda v: EffectEstimate(**{**_EFFECT, "study_label": v}), DomainError, "study_label",
      _LABELS),
@@ -148,3 +152,11 @@ def test_a_bool_is_never_a_number_and_a_checker_returns_the_value():
         check_finite("x", False)
     assert check_finite("x", 3) == 3.0 and type(check_finite("x", 3)) is float
     assert check_integer("x", 10**400, 1) == 10**400
+
+
+@pytest.mark.parametrize("function", [standard_error, p_from_effect])
+def test_a_method_that_is_not_a_conversion_method_is_a_domain_error(function):
+    with pytest.raises(AuditError) as info:
+        function(_ROWS[0], "log")
+    assert type(info.value) is DomainError
+    assert str(info.value) == "unknown conversion method: 'log'"

@@ -12,7 +12,7 @@ import math
 import pytest
 import scipy.stats
 
-from metaaudit import ConfigError, PlotVerdict, pvplot, simulate
+from metaaudit import ConfigError, PlotVerdict, normal, pvplot, simulate
 from metaaudit.pvplot import PlotConfig, RankedPValues, classify_plot
 from metaaudit.report import canonical_json
 from metaaudit.simulate import (
@@ -74,10 +74,10 @@ def test_null_studies_skip_the_normal_quantile_and_cdf(monkeypatch):
     def forbidden(value):
         raise AssertionError(f"normal function called on {value!r}")
 
-    # simulate reads both through its module binding at each call, as
+    # simulate reads both from the normal module at each call, as
     # perfbench's tracer and mock.patch see them.
-    monkeypatch.setattr(simulate.normal, "std_normal_quantile", forbidden)
-    monkeypatch.setattr(simulate.normal, "two_sided_p", forbidden)
+    monkeypatch.setattr(normal, "std_normal_quantile", forbidden)
+    monkeypatch.setattr(normal, "two_sided_p", forbidden)
     zero = SimulationConfig(
         scenario=Scenario.FIXED_EFFECT, k=27, trials=3, seed=2027, log_or=0.0
     )
