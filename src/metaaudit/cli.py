@@ -174,7 +174,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     diff = reproduce.run_reproduction(args.outdir)
     summary = diff["summary"]
     outdir = Path(args.outdir)
-    print(f"wrote {outdir / 'reproduction.json'} and 2 figure SVGs")
+    print(f"wrote {outdir / 'reproduction.json'} and {len(reproduce.FIGURE_FILES)} figure SVGs")
     print(
         f"gated checks: {summary['gated_passed']}/{summary['gated']} passed, "
         f"{summary['informational']} informational"

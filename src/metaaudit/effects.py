@@ -20,7 +20,7 @@ import functools
 import math
 import warnings
 from enum import Enum
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from .errors import CheckedRecord, DegenerateIntervalError, DomainError, InvalidIntervalError
 from .errors import check_finite, check_label, check_level
@@ -89,6 +89,13 @@ class EffectEstimate(CheckedRecord, _EffectEstimate):
         return self.study_label
 
 
+def check_method(method: Any) -> ConversionMethod:
+    """method, if it is a ConversionMethod; the one check of a reading."""
+    if not isinstance(method, ConversionMethod):
+        raise DomainError(f"unknown conversion method: {method!r}")
+    return method
+
+
 @functools.lru_cache
 def interval_multiplier(ci_level: float) -> float:
     """Two-sided standard normal multiplier q for a confidence level.
@@ -111,12 +118,10 @@ def standard_error(estimate: EffectEstimate, method: ConversionMethod) -> float:
             at float precision, leaving no information about the SE.
     """
     q2 = 2.0 * interval_multiplier(estimate.ci_level)
-    if method is ConversionMethod.NATURAL:
+    if check_method(method) is ConversionMethod.NATURAL:
         width = estimate.ci_high - estimate.ci_low
-    elif method is ConversionMethod.LOG:
-        width = math.log(estimate.ci_high) - math.log(estimate.ci_low)
     else:
-        raise DomainError(f"unknown conversion method: {method!r}")
+        width = math.log(estimate.ci_high) - math.log(estimate.ci_low)
     se = width / q2
     if se <= 0.0:
         raise DegenerateIntervalError(

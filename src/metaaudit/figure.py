@@ -131,10 +131,7 @@ def render_csv(plot: PValuePlot) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["rank", "label", "p_value", "below_alpha", "negative_effect"])
-    for point in plot.points:
-        below = int(point.p_value < plot.alpha)
-        writer.writerow(
-            [point.rank, point.label, repr(point.p_value), below, int(point.negative_effect)]
-        )
+    for rank, label, p, negative in plot.points:
+        writer.writerow([rank, label, repr(p), int(rank <= plot.n_below_alpha), int(negative)])
     return buffer.getvalue()
 

@@ -39,7 +39,7 @@ from operator import add, mul, sub
 from typing import NamedTuple, Sequence
 
 from .errors import CheckedRecord, ConfigError, DomainError, EmptyInputError
-from .errors import _shown, check_finite, check_integer, check_level
+from .errors import _shown, check_finite, check_integer, check_label, check_level
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # ks_pvalue switches from the alternating series to the theta-function form
@@ -105,9 +105,10 @@ class _PValuePlot(NamedTuple):
 class PValuePlot(CheckedRecord, _PValuePlot):
     """Ranked p-values: points sorted ascending by p, ties broken by label.
 
-    n and n_below_alpha are computed from the points' p-values at alpha
-    by RankedPValues, whose checks they pass, so an edited plot keeps
-    them true to its points.
+    However it is built, a plot checks its p-values through RankedPValues
+    and its labels with check_label, then ranks its points 1..n in that
+    order, each p a float and each flag a bool. n and n_below_alpha are
+    computed: the first n_below_alpha points are those below alpha.
     """
 
     __slots__ = ()
@@ -116,6 +117,11 @@ class PValuePlot(CheckedRecord, _PValuePlot):
     def __new__(cls, points: Sequence[PlotPoint], alpha: float) -> PValuePlot:
         points = tuple(points)
         ranked = RankedPValues([point.p_value for point in points], alpha)
+        for point in points:
+            check_label("label", point.label)
+        ordered = sorted(points, key=lambda point: (point.p_value, point.label))
+        points = tuple(PlotPoint(rank, label, float(p), bool(negative))
+                       for rank, (_, label, p, negative) in enumerate(ordered, 1))
         return super().__new__(cls, points, alpha, ranked.n, ranked.n_below_alpha)
 
     @property
@@ -136,7 +142,7 @@ class RankedPValues(CheckedRecord, _RankedPValues):
 
     It is what classify_plot and ks_statistic take: a simulation trial
     builds one from its draws, and an audit takes PValuePlot.ranked. It
-    is the one check of a plot's p-values, build_plot's too: at least
+    is the one check of a plot's p-values, PValuePlot's too: at least
     one, each a float in [0, 1], at an alpha inside (0, 1). n and
     n_below_alpha are computed, the second by bisection at alpha.
     """
@@ -206,7 +212,7 @@ def build_plot(
     alpha: float = 0.05,
     negative: Sequence[bool] | None = None,
 ) -> PValuePlot:
-    """Sort labeled p-values into a plot.
+    """Pair labeled p-values with their flags; PValuePlot sorts and ranks them.
 
     Args:
         pvalues: (label, p) pairs; every p must be a float in [0, 1].
@@ -215,23 +221,16 @@ def build_plot(
             sources (odds ratio < 1); defaults to all False.
 
     Raises:
-        EmptyInputError, DomainError: as RankedPValues, which checks the
-            p-values and alpha before they are sorted; DomainError also on
+        EmptyInputError, DomainError: as PValuePlot; DomainError also on
             a mismatched flag length.
     """
-    RankedPValues([p for _, p in pvalues], alpha)
     if negative is None:
         negative = [False] * len(pvalues)
     if len(negative) != len(pvalues):
         raise DomainError(
             f"negative flags ({len(negative)}) do not match p-values ({len(pvalues)})"
         )
-    keys = [(p, label) for label, p in pvalues]
-    order = sorted(range(len(pvalues)), key=keys.__getitem__)
-    points = tuple(
-        PlotPoint(rank, pvalues[i][0], float(pvalues[i][1]), bool(negative[i]))
-        for rank, i in enumerate(order, 1)
-    )
+    points = [PlotPoint(0, label, p, flag) for (label, p), flag in zip(pvalues, negative)]
     return PValuePlot(points, alpha)
 
 

@@ -86,12 +86,13 @@ def audit_report(
     """
     from . import effects, pooling, pvplot
 
+    column = f"p_{effects.check_method(method).value}"
     p_from_effect, methods = effects.p_from_effect, effects.ConversionMethod
     conversions = [
         {**e._asdict(), **{f"p_{m.value}": p_from_effect(e, m) for m in methods}}
         for e in rows
     ]
-    pairs = [(e.display_label(), row[f"p_{method.value}"]) for e, row in zip(rows, conversions)]
+    pairs = [(e.display_label(), row[column]) for e, row in zip(rows, conversions)]
     plot = pvplot.build_plot(pairs, alpha, [e.odds_ratio < 1.0 for e in rows])
     config = pvplot.PlotConfig()
     classification = pvplot.classify_plot(plot.ranked, config)

@@ -14,7 +14,6 @@ import time
 
 import mpmath
 import numpy as np
-import pytest
 from scipy.stats import norm
 
 from metaaudit import (

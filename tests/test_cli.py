@@ -828,10 +828,24 @@ def test_plot_writes_three_artifacts(tmp_path, capsys):
          "f32f8733b4daed8471e7cce741ce1b8684ce107a9afec57a2e5b5c102ef972a3"),
         ("log", "asthma_effects_audit.json",
          "977f63e52882c58a62a04219f46139cf71ea26fd90d09eb37a0ee536fd1423b2"),
+        # Wheeze has 6 rows below alpha, and the two readings pick different ones.
+        ("natural", "wheeze_effects_plot.svg",
+         "e172ab0812ca87046014d5160836b56ff2c12fbdc5667b2e2741769a5fc8ec1a"),
+        ("natural", "wheeze_effects_plot.csv",
+         "9b01fc68c279a34a24955a2126fe186bace45a44e7ca99889d8d1bbb8f996f2c"),
+        ("log", "wheeze_effects_plot.svg",
+         "b2d59ab5c6892142e737a9bd5b236f3e670afa3b600e0e466670b3bc2e2384ce"),
+        ("log", "wheeze_effects_plot.csv",
+         "d00ab578ca8a0db7b2369b086c17edd7a1a8a2f504dd1357099ec0337ef5c650"),
+        ("natural", "wheeze_effects_audit.json",
+         "c2bbc79d3daec3f24bc16d519590916048ccc49669c5d1ddf5baac863863de40"),
+        ("log", "wheeze_effects_audit.json",
+         "cf065bc638cfbd6944bcea207b7c8be9713f7b9ce89baad3c86176dd88bbb940"),
     ],
 )
 def test_plot_artifact_pins(tmp_path, capsys, method, artifact, sha256):
-    argv = ["plot", str(fixture_path("asthma_effects.csv")), "--method", method]
+    table = artifact.partition("_")[0]
+    argv = ["plot", str(fixture_path(f"{table}_effects.csv")), "--method", method]
     assert main([*argv, "--outdir", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest() == sha256
 

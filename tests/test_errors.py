@@ -14,10 +14,13 @@ from metaaudit import (
     DomainError,
     EffectEstimate,
     PlotConfig,
+    PlotPoint,
+    PValuePlot,
     RankedPValues,
     Scenario,
     SimulationConfig,
     StudyCounts,
+    audit_report,
     block_search_space,
     build_plot,
     cohort_false_positives,
@@ -70,6 +73,11 @@ _CASES = [
      _P_VALUES),
     ("build_plot.alpha", lambda v: build_plot([("a", 0.5)], alpha=v), DomainError, "alpha",
      _LEVELS),
+    # A label must be checked before the sort: it is compared at a tie in p.
+    ("build_plot.label", lambda v: build_plot([("a", 0.5), (v, 0.5)]), DomainError, "label",
+     _LABELS),
+    ("PValuePlot.label", lambda v: PValuePlot([PlotPoint(1, v, 0.5, False)], 0.05),
+     DomainError, "label", _LABELS),
     ("RankedPValues.alpha", lambda v: RankedPValues((0.5,), v), DomainError, "alpha", _LEVELS),
     ("ks_pvalue.n", lambda v: ks_pvalue(0.1, v), DomainError, "n", _INTEGERS),
     ("ks_pvalue.n", lambda v: ks_pvalue(0.1, v), DomainError, "n", ([10**400], "a finite number")),
@@ -154,9 +162,15 @@ def test_a_bool_is_never_a_number_and_a_checker_returns_the_value():
     assert check_integer("x", 10**400, 1) == 10**400
 
 
-@pytest.mark.parametrize("function", [standard_error, p_from_effect])
+@pytest.mark.parametrize(
+    "function",
+    [standard_error, p_from_effect, lambda row, method: audit_report([row], method)],
+    ids=["standard_error", "p_from_effect", "audit_report"],
+)
 def test_a_method_that_is_not_a_conversion_method_is_a_domain_error(function):
-    with pytest.raises(AuditError) as info:
-        function(_ROWS[0], "log")
-    assert type(info.value) is DomainError
-    assert str(info.value) == "unknown conversion method: 'log'"
+    # A reading's name is not a reading, not even a ConversionMethod's value.
+    for method in ("log", "natural"):
+        with pytest.raises(AuditError) as info:
+            function(_ROWS[0], method)
+        assert type(info.value) is DomainError
+        assert str(info.value) == f"unknown conversion method: {method!r}"

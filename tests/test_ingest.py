@@ -1,7 +1,6 @@
 """CSV ingestion: bundled fixtures, validation diagnostics, round-trips."""
 
 import hashlib
-from pathlib import Path
 
 import pytest
 

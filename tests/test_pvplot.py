@@ -188,6 +188,37 @@ def test_a_plot_counts_its_points_however_it_is_built():
         plot._replace(n=1)
 
 
+def test_a_plot_sorts_and_ranks_its_points_however_it_is_built():
+    # Out of order, ranked wrong, a p that is a float subclass and flags
+    # that are not bools; b and c tie in p, so the label decides.
+    given = (PlotPoint(7, "c", np.float64(0.2), 0), PlotPoint(1, "a", 0.9, "no"),
+             PlotPoint(1, "b", 0.2, 1))
+    expected = (PlotPoint(1, "b", 0.2, True), PlotPoint(2, "c", 0.2, False),
+                PlotPoint(3, "a", 0.9, True))
+    unsorted = tuple.__new__(PValuePlot, (given, 0.5, 3, 2))
+    builders = {
+        "constructor": lambda: PValuePlot(given, 0.5),
+        "generator": lambda: PValuePlot(iter(given), 0.5),
+        "_replace": lambda: build_plot([("z", 0.1)], 0.5)._replace(points=given),
+        "_make": lambda: PValuePlot._make((given, 0.5, 3, 0)),
+        "copy": lambda: copy.copy(unsorted),
+        "pickle": lambda: pickle.loads(pickle.dumps(unsorted)),
+    }
+    for name, build in builders.items():
+        plot = build()
+        assert tuple(plot) == (expected, 0.5, 3, 2), name
+        types = [(type(p), type(flag)) for _, _, p, flag in plot.points]
+        assert types == [(float, bool)] * 3, name
+
+
+def test_the_first_n_below_alpha_points_are_those_below_alpha_in_the_csv():
+    plot = build_plot(_labeled([0.3, 0.05, 0.01, 0.049, 0.7]), alpha=0.05)
+    rows = [line.split(",") for line in render_plot(plot, format="csv").splitlines()[1:]]
+    assert plot.n_below_alpha == 2
+    assert [row[3] for row in rows] == ["1", "1", "0", "0", "0"]
+    assert [float(row[2]) < plot.alpha for row in rows] == [True, True, False, False, False]
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(
     st.lists(

@@ -1,5 +1,5 @@
 """Source checks that no linter runs for: every name that a module of the
-package imports is used in that module, the export table names each public
+package or a test file imports is used in that module, the export table names each public
 name once, and every function that the benchmark's tracer wraps exists and
 is in a module that `import metaaudit.cli` registers."""
 
@@ -30,7 +30,10 @@ def _unused_imports(source: str) -> list[str]:
     return sorted(imported - read)
 
 
-@pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")), ids=lambda path: path.name)
+@pytest.mark.parametrize(
+    "path", sorted([*_PACKAGE.glob("*.py"), *(_ROOT / "tests").glob("*.py")]),
+    ids=lambda path: path.name,
+)
 def test_every_imported_name_is_used(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
 
