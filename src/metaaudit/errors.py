@@ -109,10 +109,13 @@ def _shown(value: Any) -> str:
     return repr(value)
 
 
-def check_integer(name: str, value: Any, least: int, error: type = DomainError) -> int:
-    """value, if it is an int (no bool) >= least."""
+def check_integer(name: str, value: Any, least: int, error: type = DomainError,
+                  most: int | None = None) -> int:
+    """value, if it is an int (no bool) >= least and, given most, <= most."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise error(f"{name} must be an integer >= {least}, got {_shown(value)}", field=name)
+    if most is not None and value > most:
+        raise error(f"{name} must be at most {most}, got {_shown(value)}", field=name)
     return value
 
 

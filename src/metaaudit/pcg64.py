@@ -1,11 +1,10 @@
 """numpy's PCG64 stream, seeded by SeedSequence, in pure Python.
 
-pcg64_stream(entropy) yields the raw 64-bit outputs of
-numpy.random.PCG64(numpy.random.SeedSequence(entropy)) bit for bit, and
-uniform and open_uniform map them as numpy's Generator.random() and
-Generator.integers(1, 2**53) / 2**53 do, so seeded draws do not depend on
-numpy being installed. skip_open_uniforms gives the open uniforms of a
-stream that skips one output before each, without forming the skipped ones.
+study_draws and skip_open_uniforms map the raw 64-bit outputs of
+numpy.random.PCG64(numpy.random.SeedSequence(entropy)) bit for bit, as
+numpy's Generator.random() and Generator.integers(1, 2**53) / 2**53 do,
+so seeded draws do not depend on numpy being installed. Neither forms an
+output it does not read: one LCG step by M^2 and (M + 1) * inc skips it.
 
 The generator is PCG64 XSL-RR: a 128-bit linear congruential generator
 whose state is permuted into each 64-bit output (O'Neill 2014, "PCG: A
@@ -20,7 +19,7 @@ draws.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -36,7 +35,7 @@ _MIX_MULT_R = 0x4973F715
 _POOL_SIZE = 4
 
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# Two LCG steps in one: skip_open_uniforms' multiplier.
+# Two LCG steps in one, past an output that is not read.
 _PCG_MULT_SQ = _PCG_MULT * _PCG_MULT & _MASK128
 
 _U53 = float(1 << 53)
@@ -101,18 +100,8 @@ def _seeded(entropy: Sequence[int]) -> tuple[int, int]:
     return (state * _PCG_MULT + inc) & _MASK128, inc
 
 
-def pcg64_stream(entropy: Sequence[int]) -> Iterator[int]:
-    """The raw 64-bit outputs of PCG64(SeedSequence(entropy)), endlessly."""
-    state, inc = _seeded(entropy)
-    while True:
-        state = (state * _PCG_MULT + inc) & _MASK128
-        rot = state >> 122
-        x = ((state >> 64) ^ state) & _MASK64
-        yield ((x >> rot) | (x << (64 - rot))) & _MASK64
-
-
 def skip_open_uniforms(entropy: Sequence[int], count: int) -> list[float]:
-    """count rounds of draw(); open_uniform(draw) on pcg64_stream(entropy).__next__.
+    """count open uniforms, each made after one output that is skipped.
 
     The skipped outputs are never formed: one step by M^2 and (M + 1) * inc
     moves the LCG past each of them.
@@ -133,18 +122,38 @@ def skip_open_uniforms(entropy: Sequence[int], count: int) -> list[float]:
     return out
 
 
-def uniform(draw: Callable[[], int]) -> float:
-    """Generator.random(): the top 53 bits of one raw output, over 2**53."""
-    return (draw() >> 11) / _U53
+def study_draws(entropy: Sequence[int], count: int, effect_fraction: float | None = None) -> tuple:
+    """count studies' se uniforms and open uniforms, in simulate's draw order.
 
-
-def open_uniform(draw: Callable[[], int]) -> float:
-    """Generator.integers(1, 2**53) / 2**53, strictly inside (0, 1).
-
-    The redraw happens about once in 10**16 draws and is kept so the
-    stream matches numpy's exactly.
+    A study draws its se output, then, when effect_fraction is a float, an
+    indicator, then an open uniform as skip_open_uniforms makes it. A study
+    whose indicator uniform is not below effect_fraction has no effect: its
+    se output is stepped past, and its se uniform is None.
     """
-    scaled = draw() * _OPEN_SPAN
-    while scaled & _MASK64 < _OPEN_REDRAW_BELOW:
-        scaled = draw() * _OPEN_SPAN
-    return ((scaled >> 64) + 1) / _U53
+    state, inc = _seeded(entropy)
+    skip_inc = (_PCG_MULT + 1) * inc & _MASK128
+    # uniform < effect_fraction, both sides scaled by 2**53 exactly.
+    below = None if effect_fraction is None else effect_fraction * _U53
+    ses, us = [None] * count, []
+    for i in range(count):
+        # Past the se output, to the indicator or, with none, the open uniform.
+        start, state = state, (state * _PCG_MULT_SQ + skip_inc) & _MASK128
+        if below is not None:
+            rot = state >> 122
+            x = ((state >> 64) ^ state) & _MASK64
+            indicator = ((x >> rot) | (x << (64 - rot))) & _MASK64
+            state = (state * _PCG_MULT + inc) & _MASK128
+        if below is None or indicator >> 11 < below:
+            se_state = (start * _PCG_MULT + inc) & _MASK128
+            rot = se_state >> 122
+            x = ((se_state >> 64) ^ se_state) & _MASK64
+            ses[i] = ((((x >> rot) | (x << (64 - rot))) & _MASK64) >> 11) / _U53
+        while True:
+            rot = state >> 122
+            x = ((state >> 64) ^ state) & _MASK64
+            scaled = (((x >> rot) | (x << (64 - rot))) & _MASK64) * _OPEN_SPAN
+            if scaled & _MASK64 >= _OPEN_REDRAW_BELOW:
+                break
+            state = (state * _PCG_MULT + inc) & _MASK128
+        us.append(((scaled >> 64) + 1) / _U53)
+    return ses, us

@@ -45,6 +45,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # ks_pvalue switches from the alternating series to the theta-function form
 # below this x, as scipy.special.kolmogorov does.
 _KS_THETA_BELOW = 0.82
+# The most points for which _two_segment_fit's screening tolerance is proved.
+MAX_FIT_POINTS = 56_000
 
 
 class PlotVerdict(Enum):
@@ -395,8 +397,9 @@ def _two_segment_fit(
     Y sqrt(m Sxx) and sqrt(12 / (m^2 - 1)) <= 2 for m >= 2, its
     Sxy^2 / Sxx is off by at most 20 n^3 u Y^2. The other three terms and
     the additions add at most 33 n^2 u Y^2 + 5 n u Y^2, and second-order
-    terms at most n^3 u Y^2 while n <= 56,000. So for 4 <= n <= 56,000 a
-    screened Q is within 30 n^3 u Y^2 of the exact one. _rss's own
+    terms at most n^3 u Y^2 while n <= MAX_FIT_POINTS (56,000). So for
+    4 <= n <= MAX_FIT_POINTS a screened Q is within 30 n^3 u Y^2 of the
+    exact one. _rss's own
     rounding adds at most about 60 n u Y^2 < 15 n^3 u Y^2, so Syy minus
     each screened Q is within E = 45 n^3 u Y^2 of the total _rss returns,
     and the winner's Q screens at most 2E below the largest. tol =

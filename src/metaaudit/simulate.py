@@ -20,11 +20,10 @@ true log odds ratio:
 * a null study (true log OR 0) takes p = 2 min(u, 1 - u), the exact
   two-sided p-value of z = Phi^-1(u), without evaluating the quantile or
   the CDF. u is m / 2^53 for an integer m, so 1 - u and the doubling are
-  exact and p lies in [2^-52, 1]. Its standard-error output is unused:
-  when no study can carry an effect (NULL, or FIXED_EFFECT with log_or 0)
-  the LCG steps past it unformed (pcg64.skip_open_uniforms), and in a
-  MIXTURE it is drawn and dropped. The stream still advances past that
-  output, so every other draw keeps its place;
+  exact and p lies in [2^-52, 1]. Its standard-error output is unused,
+  so the LCG steps past it without forming it (pcg64.skip_open_uniforms
+  when no study can carry an effect, pcg64.study_draws in a MIXTURE), and
+  every other draw keeps its place;
 * an effect study maps u through the package's own normal quantile to
   the z draw and takes the two-sided p-value of (log_or + se * z) / se.
 
@@ -33,10 +32,9 @@ takes, so the stream does not depend on the split. Reports are therefore
 reproducible bit for bit from (config, seed).
 
 The stream is numpy's PCG64/SeedSequence algorithm implemented locally
-(metaaudit.pcg64), and each draw maps raw 64-bit outputs as numpy's
-Generator does: the uniforms are Generator.random() and the open uniform
-is Generator.integers(1, 2**53) / 2**53. numpy is the test oracle for the
-stream and the draws, not a dependency.
+(metaaudit.pcg64): the uniforms are Generator.random() and u is
+Generator.integers(1, 2**53) / 2**53, bit for bit. numpy is the test
+oracle for the stream and the draws, not a dependency.
 """
 
 from __future__ import annotations
@@ -46,8 +44,8 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import CheckedRecord, ConfigError, check_finite, check_integer
-from .pcg64 import open_uniform, pcg64_stream, skip_open_uniforms, uniform
-from .pvplot import PlotConfig, PlotVerdict, RankedPValues, classify_plot
+from .pcg64 import skip_open_uniforms, study_draws
+from .pvplot import MAX_FIT_POINTS, PlotConfig, PlotVerdict, RankedPValues, classify_plot
 
 # The significance level at which every trial's p-values are read.
 _ALPHA = 0.05
@@ -84,7 +82,7 @@ class SimulationConfig(CheckedRecord, _SimulationConfig):
         self = super().__new__(cls, *args, **kwargs)
         if not isinstance(self.scenario, Scenario):
             raise ConfigError(f"scenario must be a Scenario, got {self.scenario!r}")
-        check_integer("k", self.k, 1, ConfigError)
+        check_integer("k", self.k, 1, ConfigError, MAX_FIT_POINTS)
         check_integer("trials", self.trials, 1, ConfigError)
         check_integer("seed", self.seed, 0, ConfigError)
         if not isinstance(self.se_range, (list, tuple)) or len(self.se_range) != 2:
@@ -95,9 +93,7 @@ class SimulationConfig(CheckedRecord, _SimulationConfig):
         if not 0.0 < low <= high:
             raise ConfigError(f"se_range needs 0 < low <= high, got ({low!r}, {high!r})")
         if not 0.0 <= effect_fraction <= 1.0:
-            raise ConfigError(
-                f"effect_fraction must be inside [0, 1], got {effect_fraction!r}"
-            )
+            raise ConfigError(f"effect_fraction must be inside [0, 1], got {effect_fraction!r}")
         # A 53-bit open uniform maps to |z| <= 8.21 < 9, so every draw's
         # estimate / se is bounded by (|log_or| + 9 high) / low.
         if not math.isfinite(9.0 * high / low):
@@ -128,30 +124,25 @@ def simulate_trial(config: SimulationConfig, trial_index: int) -> tuple[float, .
     check_integer("trial_index", trial_index, 0, ConfigError)
     entropy = [config.seed, trial_index]
     log_or = 0.0 if config.scenario is Scenario.NULL else config.log_or
-    mixture = config.scenario is Scenario.MIXTURE
-    if log_or == 0.0 and not mixture:
+    fraction = None
+    if config.scenario is Scenario.MIXTURE:
+        # With log_or 0 no study has an effect, so none forms its se output.
+        fraction = config.effect_fraction if log_or else 0.0
+    elif log_or == 0.0:
         us = skip_open_uniforms(entropy, config.k)
         return tuple([2.0 * (u if u < 0.5 else 1.0 - u) for u in us])
     # Only a trial whose scenario can carry an effect gets here, so a run
     # whose studies are all null never executes normal.
     from . import normal
-
-    draw = pcg64_stream(entropy).__next__
     low, high = config.se_range
-    span = high - low
-    fraction = config.effect_fraction
     ps = []
-    for _ in range(config.k):
-        se = low + span * uniform(draw)
-        true_log_or = log_or
-        if mixture and uniform(draw) >= fraction:
-            true_log_or = 0.0
-        u = open_uniform(draw)
-        if true_log_or == 0.0:
+    for se_u, u in zip(*study_draws(entropy, config.k, fraction)):
+        if se_u is None:
             ps.append(2.0 * (u if u < 0.5 else 1.0 - u))
         else:
+            se = low + (high - low) * se_u
             z = normal.std_normal_quantile(u)
-            ps.append(normal.two_sided_p((true_log_or + se * z) / se))
+            ps.append(normal.two_sided_p((log_or + se * z) / se))
     return tuple(ps)
 
 

@@ -633,6 +633,15 @@ def test_any_simulate_config_exits_0_or_2_naming_the_file(config):
         assert err.startswith(f"error: {path}")
 
 
+@pytest.mark.parametrize("k", [56_001, 10**20])
+def test_a_k_beyond_the_fit_bound_exits_2_naming_the_file(tmp_path, capsys, k):
+    # 10**20 studies would otherwise run for ever instead of failing.
+    config = _write(tmp_path, "sim.json", json.dumps({**SIM_NULL, "trials": 1, "k": k}))
+    assert main(["simulate", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {config}: k must be at most 56000, got {k}\n"
+
+
 _EFFECT_HEADER = b"study_label,subgroup_label,odds_ratio,ci_low,ci_high,ci_level\n"
 
 

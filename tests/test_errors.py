@@ -37,6 +37,7 @@ from metaaudit import (
 )
 from metaaudit.errors import check_finite, check_integer
 from metaaudit.normal import two_sided_p
+from metaaudit.pvplot import MAX_FIT_POINTS
 
 # The bad values of each kind, and the wording that rejects them.
 _NOT_FINITE = [True, "0.5", None, math.nan, math.inf, -math.inf, 10**400]
@@ -56,6 +57,9 @@ _BLOCKS = (CountBlock("models", 2, 3, 1),)
 _CASES = [
     *[(f"SimulationConfig.{key}", lambda v, key=key: SimulationConfig(**{**_SIM, key: v}),
        ConfigError, key, _INTEGERS) for key in ("k", "trials", "seed")],
+    # Beyond MAX_FIT_POINTS the two-segment fit's tolerance is not proved.
+    ("SimulationConfig.k", lambda v: SimulationConfig(**{**_SIM, "k": v}), ConfigError, "k",
+     ([MAX_FIT_POINTS + 1, 10**20, 10**400], "at most 56000")),
     *[(f"SimulationConfig.{key}", lambda v, key=key: SimulationConfig(**{**_SIM, key: v}),
        ConfigError, key, _NUMBERS) for key in ("log_or", "effect_fraction")],
     ("SimulationConfig.se_range", lambda v: SimulationConfig(**_SIM, se_range=(0.1, v)),
@@ -160,6 +164,8 @@ def test_a_bool_is_never_a_number_and_a_checker_returns_the_value():
         check_finite("x", False)
     assert check_finite("x", 3) == 3.0 and type(check_finite("x", 3)) is float
     assert check_integer("x", 10**400, 1) == 10**400
+    assert check_integer("x", 7, 1, DomainError, 7) == 7
+    assert SimulationConfig(**{**_SIM, "k": MAX_FIT_POINTS}).k == MAX_FIT_POINTS
 
 
 @pytest.mark.parametrize(
