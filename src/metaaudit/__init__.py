@@ -34,6 +34,9 @@ _EXPORTS = {
     "InvalidIntervalError": "errors",
     "OutputFileError": "errors",
     "OverflowGuardError": "errors",
+    "PlotPoint": "figure",
+    "PValuePlot": "figure",
+    "audit_report": "figure",
     "Ingested": "ingest",
     "ingest_counts": "ingest",
     "ingest_effects": "ingest",
@@ -45,10 +48,8 @@ _EXPORTS = {
     "pool_fixed": "pooling",
     "PlotClassification": "pvplot",
     "PlotConfig": "pvplot",
-    "PlotPoint": "pvplot",
     "PlotTrace": "pvplot",
     "PlotVerdict": "pvplot",
-    "PValuePlot": "pvplot",
     "RankedPValues": "pvplot",
     "RuleCheck": "pvplot",
     "build_plot": "pvplot",
@@ -56,7 +57,6 @@ _EXPORTS = {
     "ks_pvalue": "pvplot",
     "ks_statistic": "pvplot",
     "render_plot": "pvplot",
-    "audit_report": "report",
     "canonical_json": "report",
     "run_reproduction": "reproduce",
     "CountBlock": "search_space",

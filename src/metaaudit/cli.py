@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any
 
 from . import __version__
-from .errors import AuditError, ConfigError
+from .errors import AuditError
 
 # perfbench's tracer wraps functions only in the modules that sys.modules
 # lists just after `import metaaudit.cli`. So each module holding one of its
@@ -94,10 +94,10 @@ def _cmd_pool(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    from . import effects, ingest, pvplot, report
+    from . import effects, figure, ingest, pvplot, report
 
     path = Path(args.input)
-    audit = report.audit_report(ingest.ingest_effects(path),
+    audit = figure.audit_report(ingest.ingest_effects(path),
                                 effects.ConversionMethod(args.method), args.alpha)
     plot, classification = audit["plot"], audit["classification"]
     outdir = Path(args.outdir)
@@ -117,54 +117,23 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    from . import ingest, report
+    from . import ingest, search_space
 
-    return _emit(args.output, report.count_report(ingest.ingest_counts(args.input), args.alpha))
+    counts = ingest.ingest_counts(args.input)
+    return _emit(args.output, search_space.count_report(counts, args.alpha))
 
 
 def _cmd_cohort(args: argparse.Namespace) -> int:
-    from . import report
+    from . import search_space
 
-    return _emit(args.output, report.cohort_report(args.publications, args.median_nh, args.alpha))
-
-
-def _load_sim_config(path: str) -> simulate.SimulationConfig:
-    """The config at path; its keys are SimulationConfig's fields."""
-    import json  # Only this reader parses JSON; report imports it to write.
-
-    from . import simulate
-
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from None
-    except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: simulation config must be a JSON object")
-    config_type = simulate.SimulationConfig
-    unknown = sorted(set(raw) - set(config_type._fields))
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    required = set(config_type._fields) - set(config_type._field_defaults)
-    missing = sorted(required - set(raw))
-    if missing:
-        raise ConfigError(f"{path}: missing config keys: {', '.join(missing)}")
-    try:
-        raw["scenario"] = simulate.Scenario(raw["scenario"])
-    except ValueError:
-        valid = ", ".join(s.value for s in simulate.Scenario)
-        raise ConfigError(f"{path}: scenario must be one of: {valid}") from None
-    try:
-        return config_type(**raw)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    document = search_space.cohort_report(args.publications, args.median_nh, args.alpha)
+    return _emit(args.output, document)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from . import simulate
 
-    result = simulate.run_simulation(_load_sim_config(args.config))
+    result = simulate.run_simulation(simulate.load_config(args.config))
     return _emit(args.output, result._asdict())
 
 

@@ -1,8 +1,10 @@
-"""Drawing of a p-value plot, as an SVG figure or a CSV table.
+"""The labelled p-value plot of an audit, and its drawing as an SVG or a CSV.
 
-pvplot.render_plot imports this module on its first call, so a process
-that builds and classifies plots but draws none, as every simulate run
-does, never compiles it.
+A labelled plot (PValuePlot, one PlotPoint per source) and the audit that
+builds it serve only the plot and reproduce commands. pvplot.build_plot
+and pvplot.render_plot import this module on their first call, so a
+process that classifies p-values but builds and draws no labelled plot,
+as every simulate run does, never compiles it.
 """
 
 from __future__ import annotations
@@ -10,8 +12,96 @@ from __future__ import annotations
 import csv
 import io
 import math
+from typing import Any, NamedTuple, Sequence
 
-from .pvplot import PlotClassification, PValuePlot
+from . import pvplot
+from .errors import CheckedRecord, check_label
+
+
+class PlotPoint(NamedTuple):
+    """One ranked p-value with its provenance label.
+
+    negative_effect marks a point whose source odds ratio was below 1,
+    which rendering draws with a distinct marker.
+    """
+
+    rank: int
+    label: str
+    p_value: float
+    negative_effect: bool
+
+
+class _PValuePlot(NamedTuple):
+    points: tuple[PlotPoint, ...]
+    alpha: float
+    n: int
+    n_below_alpha: int
+
+
+class PValuePlot(CheckedRecord, _PValuePlot):
+    """Ranked p-values: points sorted ascending by p, ties broken by label.
+
+    However it is built, a plot checks its p-values through RankedPValues
+    and its labels with check_label, then ranks its points 1..n in that
+    order, each p a float and each flag a bool. n and n_below_alpha are
+    computed: the first n_below_alpha points are those below alpha.
+    """
+
+    __slots__ = ()
+    _computed = 2
+
+    def __new__(cls, points: Sequence[PlotPoint], alpha: float) -> PValuePlot:
+        points = tuple(points)
+        ranked = pvplot.RankedPValues([point.p_value for point in points], alpha)
+        for point in points:
+            check_label("label", point.label)
+        ordered = sorted(points, key=lambda point: (point.p_value, point.label))
+        points = tuple(PlotPoint(rank, label, float(p), bool(negative))
+                       for rank, (_, label, p, negative) in enumerate(ordered, 1))
+        return super().__new__(cls, points, alpha, ranked.n, ranked.n_below_alpha)
+
+    @property
+    def ranked(self) -> pvplot.RankedPValues:
+        """The points' p-values at alpha, built by RankedPValues, so its checks run."""
+        return pvplot.RankedPValues([point.p_value for point in self.points], self.alpha)
+
+
+def audit_report(
+    rows: ingest.Ingested, method: effects.ConversionMethod, alpha: float = 0.05
+) -> dict[str, Any]:
+    """Full audit of one effect table, every number regenerable from inputs.
+
+    Each conversion row carries its p-value under both readings, and the
+    plot takes the chosen reading's column, flagging odds ratios below 1.
+    The plot is judged under the default PlotConfig with every rule traced;
+    the config block holds the plot's alpha beside those thresholds.
+    """
+    from . import effects, pooling
+
+    column = f"p_{effects.check_method(method).value}"
+    p_from_effect, methods = effects.p_from_effect, effects.ConversionMethod
+    conversions = [
+        {**e._asdict(), **{f"p_{m.value}": p_from_effect(e, m) for m in methods}}
+        for e in rows
+    ]
+    pairs = [(e.display_label(), row[column]) for e, row in zip(rows, conversions)]
+    plot = pvplot.build_plot(pairs, alpha, [e.odds_ratio < 1.0 for e in rows])
+    config = pvplot.PlotConfig()
+    classification = pvplot.classify_plot(plot.ranked, config)
+    pooled = {
+        "fixed": pooling.pool_fixed(rows),
+        "dersimonian_laird": pooling.pool_dersimonian_laird(rows),
+    }
+    return {
+        "input": rows.digest,
+        "method": method.value,
+        "config": {"alpha": plot.alpha, **config._asdict()},
+        "conversions": conversions,
+        "pooled": pooled,
+        "plot": plot,
+        "classification": classification,
+    }
+
 
 # SVG canvas, in pixels.
 _WIDTH = 640
@@ -63,7 +153,7 @@ def _diamond(cx: float, cy: float) -> str:
 
 def render_svg(
     plot: PValuePlot,
-    classification: PlotClassification | None,
+    classification: pvplot.PlotClassification | None,
     title: str,
 ) -> str:
     left = float(_MARGIN)

@@ -1,4 +1,4 @@
-"""P-value plots: construction, shape classification and rendering.
+"""P-value plots: shape classification, building and rendering.
 
 A p-value plot ranks a study set's two-sided p-values in ascending order
 and plots them against rank. Under a shared null with independent tests the
@@ -26,6 +26,9 @@ thresholds (see PlotConfig) and checks them in a fixed order:
 The two-segment rule is this toolkit's own operationalization of the
 "bilinear" reading; its thresholds are configuration, not statistical
 doctrine.
+
+The labelled plot (PValuePlot) and its drawing are in figure, which
+build_plot and render_plot import on their first call.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from operator import add, mul, sub
 from typing import NamedTuple, Sequence
 
 from .errors import CheckedRecord, ConfigError, DomainError, EmptyInputError
-from .errors import _shown, check_finite, check_integer, check_label, check_level
+from .errors import _shown, check_finite, check_integer, check_level
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # ks_pvalue switches from the alternating series to the theta-function form
@@ -69,7 +72,7 @@ class PlotConfig(CheckedRecord, _PlotConfig):
     """Classifier thresholds for p-value plots.
 
     The significance level is not here: it belongs to the plot itself
-    (PValuePlot.alpha), which the classifier reads.
+    (RankedPValues.alpha), which the classifier reads.
     """
 
     __slots__ = ()
@@ -82,54 +85,6 @@ class PlotConfig(CheckedRecord, _PlotConfig):
         check_integer("bilinear_min_segment", self.bilinear_min_segment, 2, ConfigError)
         check_integer("min_points", self.min_points, 1, ConfigError)
         return self
-
-
-class PlotPoint(NamedTuple):
-    """One ranked p-value with its provenance label.
-
-    negative_effect marks a point whose source odds ratio was below 1,
-    which rendering draws with a distinct marker.
-    """
-
-    rank: int
-    label: str
-    p_value: float
-    negative_effect: bool
-
-
-class _PValuePlot(NamedTuple):
-    points: tuple[PlotPoint, ...]
-    alpha: float
-    n: int
-    n_below_alpha: int
-
-
-class PValuePlot(CheckedRecord, _PValuePlot):
-    """Ranked p-values: points sorted ascending by p, ties broken by label.
-
-    However it is built, a plot checks its p-values through RankedPValues
-    and its labels with check_label, then ranks its points 1..n in that
-    order, each p a float and each flag a bool. n and n_below_alpha are
-    computed: the first n_below_alpha points are those below alpha.
-    """
-
-    __slots__ = ()
-    _computed = 2
-
-    def __new__(cls, points: Sequence[PlotPoint], alpha: float) -> PValuePlot:
-        points = tuple(points)
-        ranked = RankedPValues([point.p_value for point in points], alpha)
-        for point in points:
-            check_label("label", point.label)
-        ordered = sorted(points, key=lambda point: (point.p_value, point.label))
-        points = tuple(PlotPoint(rank, label, float(p), bool(negative))
-                       for rank, (_, label, p, negative) in enumerate(ordered, 1))
-        return super().__new__(cls, points, alpha, ranked.n, ranked.n_below_alpha)
-
-    @property
-    def ranked(self) -> RankedPValues:
-        """The points' p-values at alpha, built by RankedPValues, so its checks run."""
-        return RankedPValues([point.p_value for point in self.points], self.alpha)
 
 
 class _RankedPValues(NamedTuple):
@@ -213,7 +168,7 @@ def build_plot(
     pvalues: Sequence[tuple[str, float]],
     alpha: float = 0.05,
     negative: Sequence[bool] | None = None,
-) -> PValuePlot:
+) -> figure.PValuePlot:
     """Pair labeled p-values with their flags; PValuePlot sorts and ranks them.
 
     Args:
@@ -232,8 +187,10 @@ def build_plot(
         raise DomainError(
             f"negative flags ({len(negative)}) do not match p-values ({len(pvalues)})"
         )
-    points = [PlotPoint(0, label, p, flag) for (label, p), flag in zip(pvalues, negative)]
-    return PValuePlot(points, alpha)
+    from . import figure
+
+    points = [figure.PlotPoint(0, label, p, flag) for (label, p), flag in zip(pvalues, negative)]
+    return figure.PValuePlot(points, alpha)
 
 
 @lru_cache(maxsize=64)
@@ -504,7 +461,7 @@ def classify_plot(
 
 
 def render_plot(
-    plot: PValuePlot,
+    plot: figure.PValuePlot,
     classification: PlotClassification | None = None,
     title: str = "",
     format: str = "svg",
@@ -515,9 +472,7 @@ def render_plot(
     identical. The SVG marks negative-direction sources with diamonds,
     draws the 45-degree uniform reference plus a dashed rule at alpha, and
     heads the figure with title when it is not empty. The CSV ignores
-    classification and title. The drawing code is in figure, which this
-    imports on its first call, so a process that never renders never
-    compiles it.
+    classification and title. The drawing code is in figure.
     """
     if format not in ("svg", "csv"):
         raise DomainError(f"unknown render format: {format!r}")

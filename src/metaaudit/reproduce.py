@@ -23,10 +23,12 @@ from pathlib import Path
 from typing import Any
 
 from .effects import ConversionMethod
+from .figure import audit_report
 from .ingest import ingest_counts, ingest_effects
 from .pooling import pool_fixed
 from .pvplot import PlotVerdict, render_plot
-from .report import audit_report, cohort_report, count_report, document_json, write_artifacts
+from .report import document_json, write_artifacts
+from .search_space import cohort_report, count_report
 
 ALPHA = 0.05
 

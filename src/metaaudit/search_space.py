@@ -5,12 +5,15 @@ among C candidate covariates can form N = O * P * 2^C distinct analyses.
 Everything here is exact integer arithmetic; C is capped at 128 to keep the
 numbers auditable. A block's N and a paper's sum over blocks must also stay
 within float range, because the ledger summary and alpha * N are floats.
+
+count_report and cohort_report build the documents that the count and
+cohort commands write and that reproduce checks.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .errors import CheckedRecord, DomainError, EmptyInputError, OverflowGuardError
 from .errors import check_finite, check_integer, check_label, check_level
@@ -169,3 +172,35 @@ def summarize_ledger(studies: Sequence[StudyCounts]) -> LedgerSummary:
         maximum=values[-1],
         mean=sum(values) / n,
     )
+
+
+def count_report(studies: ingest.Ingested, alpha: float) -> dict[str, Any]:
+    """A ledger's per-paper search spaces N with alpha * N, and their summary."""
+    summary = summarize_ledger(studies)
+    return {
+        "input": studies.digest,
+        "alpha": alpha,
+        "studies": [
+            {
+                **study._asdict(),
+                "expected_false_positives": expected_false_positives(study.search_space, alpha),
+            }
+            for study in studies
+        ],
+        "summary": {
+            **summary._asdict(),
+            "median_expected_false_positives": expected_false_positives(summary.median, alpha),
+        },
+    }
+
+
+def cohort_report(publications: int, median_space: int, alpha: float) -> dict[str, Any]:
+    """Expected false positives across a cohort of publications."""
+    value = cohort_false_positives(publications, median_space, alpha)
+    return {
+        "publications": publications,
+        "median_search_space": median_space,
+        "alpha": alpha,
+        "expected_false_positives": value,
+        "expected_false_positives_rounded": round(value),
+    }

@@ -41,7 +41,8 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import NamedTuple
+from pathlib import Path
+from typing import Any, NamedTuple
 
 from .errors import CheckedRecord, ConfigError, check_finite, check_integer
 from .pcg64 import skip_open_uniforms, study_draws
@@ -102,6 +103,46 @@ class SimulationConfig(CheckedRecord, _SimulationConfig):
         if not math.isfinite((shift + 9.0 * high) / low):
             raise ConfigError(f"log_or {log_or!r} makes the z draws overflow")
         return super().__new__(cls, *self[:4], (low, high), log_or, effect_fraction)
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object from its pairs; a key given twice is a ConfigError."""
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate config key: {key}")
+        obj[key] = value
+    return obj
+
+
+def load_config(path: str | Path) -> SimulationConfig:
+    """The UTF-8 JSON config at path, BOM or not; its keys are SimulationConfig's fields."""
+    import json  # Only this reader parses JSON; report imports it to write.
+
+    fields = SimulationConfig._fields
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"),
+                         object_pairs_hook=_unique_keys)
+        if not isinstance(raw, dict):
+            raise ConfigError("simulation config must be a JSON object")
+        unknown = sorted(set(raw) - set(fields))
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        missing = sorted(set(fields) - set(SimulationConfig._field_defaults) - set(raw))
+        if missing:
+            raise ConfigError(f"missing config keys: {', '.join(missing)}")
+        try:
+            raw["scenario"] = Scenario(raw["scenario"])
+        except ValueError:
+            valid = ", ".join(s.value for s in Scenario)
+            raise ConfigError(f"scenario must be one of: {valid}") from None
+        return SimulationConfig(**raw)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 
 class SimulationReport(NamedTuple):

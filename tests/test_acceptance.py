@@ -40,7 +40,8 @@ from metaaudit.reproduce import (
     fixture_path,
     run_reproduction,
 )
-from metaaudit.report import audit_report, canonical_json
+from metaaudit.figure import audit_report
+from metaaudit.report import canonical_json
 from metaaudit.simulate import Scenario, SimulationConfig, run_simulation
 
 mpmath.mp.dps = 50

@@ -19,9 +19,10 @@ from hypothesis import given, settings, strategies as st
 import metaaudit
 from metaaudit.cli import build_parser, main
 from metaaudit.effects import ConversionMethod
+from metaaudit.figure import audit_report
 from metaaudit.ingest import ingest_counts, ingest_effects
-from metaaudit.report import audit_report, cohort_report, count_report
 from metaaudit.reproduce import fixture_path, run_reproduction
+from metaaudit.search_space import cohort_report, count_report
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SIM_NULL = {"scenario": "null", "k": 27, "trials": 20, "seed": 2027}
@@ -1088,6 +1089,23 @@ def test_simulate_rejects_mistyped_numbers(tmp_path, capsys, key, value, message
     err = capsys.readouterr().err
     assert err.startswith(f"error: {config}: ")
     assert message in err
+
+
+def test_simulate_rejects_a_key_given_twice(tmp_path, capsys):
+    # json.loads alone keeps the last copy, which would run 3 trials.
+    config = _write(tmp_path, "sim.json", json.dumps(SIM_NULL)[:-1] + ', "trials": 3}')
+    assert main(["simulate", "--config", config]) == 2
+    assert capsys.readouterr().err == f"error: {config}: duplicate config key: trials\n"
+
+
+def test_simulate_reads_a_config_with_a_byte_order_mark(tmp_path, capsys):
+    # As effect and ledger CSVs do: editors on Windows may write one.
+    plain = _write(tmp_path, "plain.json", json.dumps(SIM_NULL))
+    marked = _write(tmp_path, "marked.json", "\ufeff" + json.dumps(SIM_NULL))
+    assert main(["simulate", "--config", plain]) == 0
+    expected = capsys.readouterr().out
+    assert main(["simulate", "--config", marked]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_simulate_rejects_bad_json(tmp_path, capsys):

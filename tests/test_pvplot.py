@@ -768,7 +768,14 @@ def test_title_and_alpha_label_rendered():
 
 def test_pvplot_loads_no_conversion_code():
     # pvplot knows only p-values; turning (OR, CI) rows into them is effects' job.
-    code = "import sys, metaaudit.pvplot; print(sorted(m for m in sys.modules if 'metaaudit' in m))"
+    # Building, classifying and drawing a labelled plot loads figure and no more.
+    code = (
+        "import sys, metaaudit.pvplot as pv\n"
+        "print(sorted(m for m in sys.modules if 'metaaudit' in m))\n"
+        "plot = pv.build_plot([('a', 0.01), ('b', 0.5), ('c', 0.9)], 0.05, [True, False, False])\n"
+        "pv.render_plot(plot, pv.classify_plot(plot.ranked))\n"
+        "print(sorted(m for m in sys.modules if 'metaaudit' in m))\n"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -776,4 +783,7 @@ def test_pvplot_loads_no_conversion_code():
         env={**os.environ, "PYTHONPATH": str(Path(pvplot.__file__).parent.parent)},
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "['metaaudit', 'metaaudit.errors', 'metaaudit.pvplot']\n"
+    assert result.stdout.splitlines() == [
+        "['metaaudit', 'metaaudit.errors', 'metaaudit.pvplot']",
+        "['metaaudit', 'metaaudit.errors', 'metaaudit.figure', 'metaaudit.pvplot']",
+    ]

@@ -23,7 +23,7 @@ from metaaudit import (
     run_simulation,
     summarize_ledger,
 )
-from metaaudit.report import audit_report
+from metaaudit.figure import audit_report
 from metaaudit.reproduce import fixture_path, run_reproduction
 
 
