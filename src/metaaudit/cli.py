@@ -12,12 +12,14 @@ Usage examples:
 
 Exit codes: 0 success, 1 unexpected failure or reproduction mismatch,
 2 bad input (unreadable files, CSV format problems, domain errors, usage
-errors).
+errors) or an output that cannot be written, stdout included
+(`<stdout>: cannot write`).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import os
 import sys
@@ -26,7 +28,7 @@ from pathlib import Path
 from typing import Any
 
 from . import __version__
-from .errors import AuditError
+from .errors import AuditError, OutputFileError
 
 # perfbench's tracer wraps functions only in the modules that sys.modules
 # lists just after `import metaaudit.cli`. So each module holding one of its
@@ -51,7 +53,18 @@ def _print_error(message: str) -> None:
 
 def _write_text(output: str | None, text: str) -> None:
     if output is None or output == "-":
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # Point the descriptor at devnull, so that the interpreter's flush
+            # at exit neither prints a traceback nor turns exit 2 into 120.
+            with contextlib.suppress(OSError):  # A stream with no descriptor keeps nothing.
+                fd = sys.stdout.fileno()
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+            raise OutputFileError(f"<stdout>: cannot write: {exc.strerror}") from None
     else:
         from . import report
 
@@ -107,12 +120,11 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         f"{path.stem}_audit.json": report.document_json(audit),
     }
     report.write_artifacts(outdir, written)
-    print(
+    _write_text(None, "".join([
         f"{path.stem}: {plot.n} p-values, {plot.n_below_alpha} below alpha, "
-        f"verdict {classification.verdict.value}"
-    )
-    for name in written:
-        print(f"wrote {outdir / name}")
+        f"verdict {classification.verdict.value}\n",
+        *(f"wrote {outdir / name}\n" for name in written),
+    ]))
     return 0
 
 
@@ -143,21 +155,16 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     diff = reproduce.run_reproduction(args.outdir)
     summary = diff["summary"]
     outdir = Path(args.outdir)
-    print(f"wrote {outdir / 'reproduction.json'} and {len(reproduce.FIGURE_FILES)} figure SVGs")
-    print(
+    failed = [check for check in diff["checks"] if check["gated"] and not check["pass"]]
+    _write_text(None, "".join([
+        f"wrote {outdir / 'reproduction.json'} and {len(reproduce.FIGURE_FILES)} figure SVGs\n",
         f"gated checks: {summary['gated_passed']}/{summary['gated']} passed, "
-        f"{summary['informational']} informational"
-    )
-    if not summary["all_gated_pass"]:
-        for check in diff["checks"]:
-            if check["gated"] and not check["pass"]:
-                print(
-                    f"  FAIL {check['name']}: computed {check['computed']!r}, "
-                    f"expected {check['expected']!r} "
-                    f"(|delta| {check['abs_delta']:.6g} > {check['tolerance']:.6g})"
-                )
-        return 1
-    return 0
+        f"{summary['informational']} informational\n",
+        *(f"  FAIL {check['name']}: computed {check['computed']!r}, "
+          f"expected {check['expected']!r} "
+          f"(|delta| {check['abs_delta']:.6g} > {check['tolerance']:.6g})\n" for check in failed),
+    ]))
+    return 0 if summary["all_gated_pass"] else 1
 
 
 def _method_options() -> dict[str, Any]:
@@ -263,7 +270,12 @@ _FLAGS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    if argv is None:
+        import gc
+
+        # As the process entry, freeze start-up's objects so the exit collection skips them.
+        gc.freeze()
+        argv = sys.argv[1:]
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)

@@ -325,6 +325,70 @@ def test_unwritable_output_exits_2(tmp_path, capsys, command, case):
     assert capsys.readouterr().err.startswith(f"error: {failed}: cannot write: ")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["simulate", "plot"])
+def test_unwritable_stdout_exits_2(tmp_path, command, unbuffered):
+    # The interpreter's own flush at exit must not report the failure again
+    # (exit 120), and the write must not escape as an OSError (exit 1).
+    config = _write(tmp_path, "sim.json", json.dumps({**SIM_NULL, "trials": 2}))
+    argv = {"simulate": ["simulate", "--config", config],
+            "plot": ["plot", str(fixture_path("asthma_effects.csv")), "--outdir", str(tmp_path)]}
+    env = {**os.environ, "PYTHONPATH": str(Path(metaaudit.__file__).parent.parent)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    with open("/dev/full", "w") as full:
+        result = subprocess.run([sys.executable, "-m", "metaaudit.cli", *argv[command]],
+                                stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+    assert (result.returncode, result.stderr) == (
+        2, "error: <stdout>: cannot write: No space left on device\n")
+
+
+COHORT = ["cohort", "--publications", "107", "--median-nh", "13824"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (COHORT, 0),
+        (["cohort", "--publications", "0", "--median-nh", "13824"], 2),
+        (["simulate"], None),  # argparse exits: --config is required.
+    ],
+    ids=["success", "bad-input", "usage-error"],
+)
+def test_main_with_an_argv_leaves_the_collector_as_it_was(capsys, argv, code):
+    import gc
+
+    before = (gc.get_freeze_count(), gc.isenabled())
+    if code is None:
+        with pytest.raises(SystemExit):
+            main(argv)
+    else:
+        assert main(argv) == code
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+FROZEN_AT_EXIT = """
+import atexit, gc, sys
+atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))
+from metaaudit.cli import main
+sys.exit(main())
+"""
+
+
+def test_main_as_the_process_entry_freezes_start_up_objects(capsysbinary):
+    assert main(COHORT) == 0
+    expected = capsysbinary.readouterr().out
+    result = subprocess.run(
+        [sys.executable, "-c", FROZEN_AT_EXIT, *COHORT],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(Path(metaaudit.__file__).parent.parent)},
+    )
+    assert (result.returncode, result.stdout) == (0, expected), result.stderr
+    assert int(result.stderr) > 0
+
+
 @pytest.mark.parametrize(
     "code",
     [
