@@ -39,12 +39,13 @@ class _PValuePlot(NamedTuple):
 
 
 class PValuePlot(CheckedRecord, _PValuePlot):
-    """Ranked p-values: points sorted ascending by p, ties broken by label.
+    """Ranked p-values: points sorted ascending by p, then label, then flag.
 
     However it is built, a plot checks its p-values through RankedPValues
     and its labels with check_label, then ranks its points 1..n in that
-    order, each p a float and each flag a bool. n and n_below_alpha are
-    computed: the first n_below_alpha points are those below alpha.
+    order, each p a float and each flag a bool, so points tied on p and
+    label rank the same whatever order they came in. n and n_below_alpha
+    are computed: the first n_below_alpha points are those below alpha.
     """
 
     __slots__ = ()
@@ -55,7 +56,8 @@ class PValuePlot(CheckedRecord, _PValuePlot):
         ranked = pvplot.RankedPValues([point.p_value for point in points], alpha)
         for point in points:
             check_label("label", point.label)
-        ordered = sorted(points, key=lambda point: (point.p_value, point.label))
+        ordered = sorted(points, key=lambda point: (point.p_value, point.label,
+                                                    bool(point.negative_effect)))
         points = tuple(PlotPoint(rank, label, float(p), bool(negative))
                        for rank, (_, label, p, negative) in enumerate(ordered, 1))
         return super().__new__(cls, points, alpha, ranked.n, ranked.n_below_alpha)

@@ -79,57 +79,49 @@ def _canonical(effects: Sequence[EffectEstimate]) -> list[EffectEstimate]:
     )
 
 
-def _log_scale(effects: Sequence[EffectEstimate]) -> tuple[list[float], list[float]]:
-    ys = [math.log(e.odds_ratio) for e in effects]
-    vs = [standard_error(e, ConversionMethod.LOG) ** 2 for e in effects]
-    return ys, vs
-
-
-def _weighted_mean(ys: list[float], ws: list[float]) -> tuple[float, float]:
-    sw = math.fsum(ws)
-    mean = math.fsum(w * y for w, y in zip(ws, ys)) / sw
-    return mean, sw ** -0.5
-
-
-def _heterogeneity(ys: list[float], ws: list[float]) -> tuple[float, float, float]:
-    """Cochran's Q, DerSimonian-Laird tau^2 and I^2 for log effects.
-
-    Q = sum w_i (y_i - y_fe)^2 with the fixed-effect weights ws, w_i = 1/v_i;
-    tau^2 = max(0, (Q - (k-1)) / (sum w - sum w^2 / sum w)), clamped so a
-    homogeneous set (Q <= k-1) gives exactly zero; I^2 = max(0, (Q-(k-1))/Q)
-    and zero when Q = 0.
-    """
-    k = len(ys)
-    mean_fe, _ = _weighted_mean(ys, ws)
-    q = math.fsum(w * (y - mean_fe) ** 2 for w, y in zip(ws, ys))
-    if k < 2:
-        return q, 0.0, 0.0
-    sw = math.fsum(ws)
-    denom = sw - math.fsum(w * w for w in ws) / sw
-    tau2 = max(0.0, (q - (k - 1)) / denom) if denom > 0.0 else 0.0
-    i2 = max(0.0, (q - (k - 1)) / q) if q > 0.0 else 0.0
-    return q, tau2, i2
-
-
 def _result(
     effects: Sequence[EffectEstimate],
     method: PoolingMethod,
     ci_level: float,
 ) -> PooledResult:
+    """Pool in canonical order: one fixed-effect fit, then re-weight for DL.
+
+    With y_i = ln OR_i, v_i the squared LOG-reading SE and the fixed-effect
+    weights w_i = 1/v_i, both methods report Q = sum w_i (y_i - y_fe)^2,
+    tau^2 = max(0, (Q - (k-1)) / (sum w - sum w^2 / sum w)), zero when that
+    denominator is not positive, and I^2 = max(0, (Q - (k-1)) / Q), zero
+    when Q = 0. One study has tau^2 = I^2 = 0 whatever its rounded Q.
+    DERSIMONIAN_LAIRD pools with w_i = 1/(v_i + tau^2); the pooled SE is
+    (sum w)^-1/2 of the weights pooled with.
+    """
     if not effects:
         raise EmptyInputError("pooling requires at least one study")
     ordered = _canonical(effects)
-    ys, vs = _log_scale(ordered)
-    fixed = [1.0 / v for v in vs]
-    q, tau2, i2 = _heterogeneity(ys, fixed)
-    ws = fixed if method is PoolingMethod.FIXED else [1.0 / (v + tau2) for v in vs]
-    mean, se = _weighted_mean(ys, ws)
+    k = len(ordered)
+    ys = [math.log(e.odds_ratio) for e in ordered]
+    vs = [standard_error(e, ConversionMethod.LOG) ** 2 for e in ordered]
+    ws = [1.0 / v for v in vs]
+    sw = math.fsum(ws)
+    mean = math.fsum(w * y for w, y in zip(ws, ys)) / sw
+    q = math.fsum(w * (y - mean) ** 2 for w, y in zip(ws, ys))
+    tau2 = i2 = 0.0
+    if k > 1:
+        denom = sw - math.fsum(w * w for w in ws) / sw
+        if denom > 0.0:
+            tau2 = max(0.0, (q - (k - 1)) / denom)
+        if q > 0.0:
+            i2 = max(0.0, (q - (k - 1)) / q)
+    if method is PoolingMethod.DERSIMONIAN_LAIRD:
+        ws = [1.0 / (v + tau2) for v in vs]
+        sw = math.fsum(ws)
+        mean = math.fsum(w * y for w, y in zip(ws, ys)) / sw
+    se = sw ** -0.5
     mult = interval_multiplier(ci_level)
     upper = mean + mult * se
     if upper > math.log(sys.float_info.max):
         raise OverflowGuardError(f"pooled upper limit exp({upper:.6g}) exceeds the float range")
     return PooledResult(
-        k=len(ordered),
+        k=k,
         pooled_log_or=mean,
         pooled_se=se,
         pooled_or=math.exp(mean),
@@ -173,7 +165,7 @@ def pool_dersimonian_laird(
     ----------
     effects : sequence of EffectEstimate
         Studies to pool; at least one. A single study degenerates to the
-        fixed-effect identity with Q = tau^2 = 0.
+        fixed-effect identity with tau^2 = I^2 = 0.
     ci_level : float
         Confidence level of the reported interval.
 

@@ -1299,6 +1299,11 @@ def test_reproduce_checks_what_the_commands_write(tmp_path, capsys):
             "pool.json",
         ),
         (
+            "wheeze_effects_pool_dl.json",
+            ["pool", "{fixtures}/wheeze_effects.csv", "--model", "dl", "--output", "{out}/pool.json"],
+            "pool.json",
+        ),
+        (
             "simulate_null.json",
             ["simulate", "--config", "{out}/sim.json", "--output", "{out}/simulate.json"],
             "simulate.json",

@@ -16,6 +16,7 @@ from metaaudit import (
     EffectEstimate,
     EmptyInputError,
     OverflowGuardError,
+    PooledResult,
     PoolingMethod,
     ingest_effects,
     pool_dersimonian_laird,
@@ -82,6 +83,11 @@ def _longhand(effects, method):
     }
 
 
+def _bits(pooled):
+    """The result with each float as float.hex(), so == compares bit for bit."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in pooled)
+
+
 def test_two_region_combination_matches_published():
     pair = ingest_effects(fixture_path("region_pair.csv"))
     pooled = pool_fixed(pair)
@@ -91,17 +97,79 @@ def test_two_region_combination_matches_published():
     assert pooled.ci_high == pytest.approx(1.57, abs=0.02)
 
 
+# float.hex() of every float field of both pools on the bundled tables, so a
+# change in the order or grouping of any sum shows. Q, tau^2 and I^2 describe
+# the input set and are the same for both pools; wheeze is the one table with
+# tau^2 > 0, where DerSimonian-Laird re-weights.
+_HETEROGENEITY_HEX = {
+    "asthma_effects.csv": ("0x1.5301bc9941872p+3", "0x0.0p+0", "0x0.0p+0"),
+    "wheeze_effects.csv": ("0x1.a3393c48dd815p+5", "0x1.a8373ffea0c87p-7", "0x1.01f7eea8aa350p-1"),
+    "region_pair.csv": ("0x1.2c50cca844581p-9", "0x0.0p+0", "0x0.0p+0"),
+}
+_ESTIMATE_HEX = {
+    ("asthma_effects.csv", "fixed"): ("0x1.4b972b73aeea5p-2", "0x1.2c0cb2e0f261ap-4",
+        "0x1.61e4c2df159cbp+0", "0x1.4a74f0021337cp-17"),
+    ("asthma_effects.csv", "dersimonian_laird"): ("0x1.4b972b73aeea5p-2", "0x1.2c0cb2e0f261ap-4",
+        "0x1.61e4c2df159cbp+0", "0x1.4a74f0021337cp-17"),
+    ("wheeze_effects.csv", "fixed"): ("0x1.b4dcda47a986ap-5", "0x1.47713250ee4d3p-6",
+        "0x1.0e05c4bade661p+0", "0x1.f391b784c420ap-8"),
+    ("wheeze_effects.csv", "dersimonian_laird"): ("0x1.06154011bde48p-4", "0x1.2e0137628db74p-5",
+        "0x1.10ea641f01450p+0", "0x1.52749b4e0b9d4p-4"),
+    ("region_pair.csv", "fixed"): ("0x1.2cf0b76076c73p-2", "0x1.5c280c78c871fp-4",
+        "0x1.577536f47d2f4p+0", "0x1.1dd11d35c6045p-11"),
+    ("region_pair.csv", "dersimonian_laird"): ("0x1.2cf0b76076c73p-2", "0x1.5c280c78c871fp-4",
+        "0x1.577536f47d2f4p+0", "0x1.1dd11d35c6045p-11"),
+}
+_INTERVAL_HEX = {
+    ("asthma_effects.csv", "fixed", 0.95): ("0x1.328fe92976449p+0", "0x1.9888625bc20dep+0"),
+    ("asthma_effects.csv", "fixed", 0.5): ("0x1.50d53a587cc68p+0", "0x1.73d182e0ca320p+0"),
+    ("asthma_effects.csv", "dersimonian_laird", 0.95): ("0x1.328fe92976449p+0", "0x1.9888625bc20dep+0"),
+    ("asthma_effects.csv", "dersimonian_laird", 0.5): ("0x1.50d53a587cc68p+0", "0x1.73d182e0ca320p+0"),
+    ("wheeze_effects.csv", "fixed", 0.95): ("0x1.03a66699fb87ap+0", "0x1.18cf368eeea39p+0"),
+    ("wheeze_effects.csv", "fixed", 0.5): ("0x1.0a683483c3f54p+0", "0x1.11afe494346a0p+0"),
+    ("wheeze_effects.csv", "dersimonian_laird", 0.95): ("0x1.fbc86e892d9dbp-1", "0x1.255d7d3b8c96ep+0"),
+    ("wheeze_effects.csv", "dersimonian_laird", 0.5): ("0x1.0a368aa7dc06ap+0", "0x1.17c970ebfd1e5p+0"),
+    ("region_pair.csv", "fixed", 0.95): ("0x1.22c0676bcb5cfp+0", "0x1.95b7f2d0bfd0ep+0"),
+    ("region_pair.csv", "fixed", 0.5): ("0x1.4452258672737p+0", "0x1.6bb95bd8a70d4p+0"),
+    ("region_pair.csv", "dersimonian_laird", 0.95): ("0x1.22c0676bcb5cfp+0", "0x1.95b7f2d0bfd0ep+0"),
+    ("region_pair.csv", "dersimonian_laird", 0.5): ("0x1.4452258672737p+0", "0x1.6bb95bd8a70d4p+0"),
+}
+
+
+@pytest.mark.parametrize("level", [0.95, 0.5])
+@pytest.mark.parametrize("method", list(PoolingMethod))
+@pytest.mark.parametrize("name", ["asthma_effects.csv", "wheeze_effects.csv", "region_pair.csv"])
+def test_bundled_pools_are_pinned_bit_for_bit(name, method, level):
+    pool = pool_fixed if method is PoolingMethod.FIXED else pool_dersimonian_laird
+    rows = ingest_effects(fixture_path(name))
+    pooled = pool(rows, ci_level=level)
+    log_or, se, odds_ratio, p = _ESTIMATE_HEX[name, method.value]
+    low, high = _INTERVAL_HEX[name, method.value, level]
+    q, tau2, i2 = _HETEROGENEITY_HEX[name]
+    expected = PooledResult(len(rows), log_or, se, odds_ratio, low, high, p, q, tau2, i2,
+                            method, level.hex())
+    assert _bits(pooled) == expected
+
+
 def test_single_study_is_identity():
-    estimate = _estimate_from_log("solo", 0.35, 0.21)
-    for pool in (pool_fixed, pool_dersimonian_laird):
-        pooled = pool([estimate])
-        assert pooled.k == 1
-        assert pooled.pooled_log_or == pytest.approx(0.35, abs=1e-9)
-        assert pooled.pooled_se == pytest.approx(0.21, abs=1e-9)
-        assert pooled.pooled_or == pytest.approx(math.exp(0.35), rel=1e-9)
-        assert pooled.q_statistic == pytest.approx(0.0, abs=1e-18)
-        assert pooled.tau_squared == 0.0
-        assert pooled.i_squared == 0.0
+    # Rounding leaves Q a tiny positive number for 24 of these 200 studies,
+    # where I^2 = (Q - 0) / Q would read 1 without the one-study branch.
+    positive_q = 0
+    for seed in range(200):
+        (estimate,) = _random_studies(np.random.default_rng(seed), 1)
+        log_or = math.log(estimate.odds_ratio)
+        se = math.log(estimate.ci_high / estimate.ci_low) / (2.0 * Q95)
+        for pool in (pool_fixed, pool_dersimonian_laird):
+            pooled = pool([estimate])
+            assert pooled.k == 1
+            assert pooled.pooled_log_or == pytest.approx(log_or, rel=1e-12, abs=1e-15)
+            assert pooled.pooled_se == pytest.approx(se, rel=1e-12)
+            assert pooled.pooled_or == pytest.approx(estimate.odds_ratio, rel=1e-12)
+            assert pooled.q_statistic == pytest.approx(0.0, abs=1e-18)
+            assert pooled.tau_squared == 0.0
+            assert pooled.i_squared == 0.0
+        positive_q += pooled.q_statistic > 0.0
+    assert positive_q > 0
 
 
 def test_duplicate_study_narrows_se_by_sqrt2():
@@ -120,8 +188,7 @@ def test_homogeneous_set_collapses_dl_to_fixed():
     fixed = pool_fixed(studies)
     dl = pool_dersimonian_laird(studies)
     assert dl.tau_squared == 0.0
-    assert dl.pooled_log_or == pytest.approx(fixed.pooled_log_or, abs=1e-12)
-    assert dl.pooled_se == pytest.approx(fixed.pooled_se, abs=1e-12)
+    assert _bits(dl._replace(method=fixed.method)) == _bits(fixed)
     assert fixed.q_statistic == pytest.approx(0.0, abs=1e-18)
 
 
@@ -137,16 +204,17 @@ def test_matches_longhand_derivation(seed, method):
         assert getattr(pooled, field) == pytest.approx(value, rel=1e-10, abs=1e-12), field
 
 
-def test_permutation_gives_bit_identical_results():
+@pytest.mark.parametrize("pool", [pool_fixed, pool_dersimonian_laird])
+def test_permutation_gives_bit_identical_results(pool):
     rng = np.random.default_rng(77)
     studies = _random_studies(rng, 8)
-    baseline = pool_dersimonian_laird(studies)
+    baseline = pool(studies)
+    assert baseline.tau_squared > 0.0
     shuffler = random.Random(3)
     for _ in range(10):
         shuffled = studies[:]
         shuffler.shuffle(shuffled)
-        pooled = pool_dersimonian_laird(shuffled)
-        assert pooled == baseline
+        assert _bits(pool(shuffled)) == _bits(baseline)
 
 
 def test_dl_interval_never_narrower_than_fixed():

@@ -75,6 +75,16 @@ def test_build_plot_breaks_ties_by_label():
     assert [point.label for point in plot.points] == ["early", "late"]
 
 
+def test_points_tied_on_p_and_label_order_by_flag_whatever_the_input_order():
+    # The same two points in either order make one plot: the circle, not
+    # negative, ranks before the diamond.
+    expected = (PlotPoint(1, "x", 0.3, False), PlotPoint(2, "x", 0.3, True))
+    plot = build_plot([("x", 0.3), ("x", 0.3)], 0.05, [True, False])
+    assert plot.points == expected
+    assert build_plot([("x", 0.3), ("x", 0.3)], 0.05, [False, True]) == plot
+    assert plot._replace(points=reversed(plot.points)) == plot
+
+
 def test_build_plot_carries_negative_flags():
     plot = build_plot(
         [("a", 0.3), ("b", 0.1)], negative=[True, False]
