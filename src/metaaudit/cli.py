@@ -13,13 +13,15 @@ Usage examples:
 Exit codes: 0 success, 1 unexpected failure or reproduction mismatch,
 2 bad input (unreadable files, CSV format problems, domain errors, usage
 errors) or an output that cannot be written, stdout included
-(`<stdout>: cannot write`).
+(`<stdout>: cannot write`, also when the process started with stdout closed).
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
+import errno
 import io
 import os
 import sys
@@ -45,14 +47,19 @@ for _name in ("effects", "ingest", "normal", "pooling", "pvplot", "report", "rep
 
 
 def _print_error(message: str) -> None:
+    if sys.stderr is None:  # The process started with stderr closed.
+        return
     prefix = "error:"
     if not os.environ.get("NO_COLOR") and sys.stderr.isatty():
         prefix = "\x1b[31merror:\x1b[0m"
-    print(f"{prefix} {message}", file=sys.stderr)
+    with contextlib.suppress(OSError):  # An unwritable stderr leaves the exit code as it is.
+        print(f"{prefix} {message}", file=sys.stderr)
 
 
 def _write_text(output: str | None, text: str) -> None:
     if output is None or output == "-":
+        if sys.stdout is None:  # The process started with stdout closed.
+            raise OutputFileError(f"<stdout>: cannot write: {os.strerror(errno.EBADF)}")
         try:
             sys.stdout.write(text)
             sys.stdout.flush()
@@ -269,23 +276,46 @@ _FLAGS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        import gc
+def _observed() -> bool:
+    """Whether a tracer, a profiler, dev mode or an interactive session after
+    the command (-i) may observe the teardown. From Python 3.12, cProfile and
+    other tools hook in through sys.monitoring, whose tool ids are 0-5."""
+    monitoring = getattr(sys, "monitoring", None)
+    tools = map(monitoring.get_tool, range(6)) if monitoring else ()
+    return (sys.gettrace() is not None or sys.getprofile() is not None or sys.flags.dev_mode
+            or sys.flags.inspect or any(tool is not None for tool in tools))
 
-        # As the process entry, freeze start-up's objects so the exit collection skips them.
-        gc.freeze()
+
+def _exit(code: int) -> int:
+    """End the process as the interpreter's exit would, less its teardown:
+    the atexit handlers, a flush of stdout and stderr, then os._exit(code).
+    A flush that fails returns code, for the interpreter's exit to report."""
+    atexit._run_exitfuncs()  # Runs each handler once: they are unregistered.
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        return code
+    os._exit(code)
+
+
+def main(argv: list[str] | None = None) -> int:
+    entry = argv is None
+    if entry:
         argv = sys.argv[1:]
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
     except AuditError as exc:
         flag = _FLAGS.get(exc.field)
         _print_error(f"{flag}: {exc}" if flag else str(exc))
-        return 2
+        code = 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         _print_error(f"{type(exc).__name__}: {exc}")
-        return 1
+        code = 1
+    # An observed run keeps the full teardown, its exit collection included.
+    return _exit(code) if entry and not _observed() else code
 
 
 if __name__ == "__main__":

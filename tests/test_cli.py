@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -369,24 +370,90 @@ def test_main_with_an_argv_leaves_the_collector_as_it_was(capsys, argv, code):
     assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
-FROZEN_AT_EXIT = """
-import atexit, gc, sys
-atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))
+def _run_cli(args, shell_redirect="", **kwargs):
+    """A fresh `python ARGS` process, through sh when a redirect is given."""
+    argv = [sys.executable, *args]
+    if shell_redirect:
+        argv = ["sh", "-c", f'exec "$0" "$@" {shell_redirect}', *argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(metaaudit.__file__).parent.parent)}
+    env.pop("PYTHONDEVMODE", None)
+    return subprocess.run(argv, capture_output=True, env=env, **kwargs)
+
+
+@pytest.mark.parametrize("argv", [COHORT, ["plot", str(fixture_path("asthma_effects.csv"))]],
+                         ids=["cohort", "plot"])
+def test_closed_stdout_exits_2(tmp_path, argv):
+    result = _run_cli(["-m", "metaaudit.cli", *argv], ">&-", cwd=tmp_path, text=True)
+    assert (result.returncode, result.stderr) == (
+        2, f"error: <stdout>: cannot write: {os.strerror(errno.EBADF)}\n")
+
+
+def test_closed_stdout_still_writes_an_output_file(tmp_path, capsysbinary):
+    assert main(COHORT) == 0
+    expected = capsysbinary.readouterr().out
+    output = tmp_path / "cohort.json"
+    result = _run_cli(["-m", "metaaudit.cli", *COHORT, "--output", str(output)], ">&-")
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert output.read_bytes() == expected
+
+
+@pytest.mark.parametrize("redirect", [
+    "2>&-",
+    pytest.param("2>/dev/full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                                         reason="no /dev/full")),
+], ids=["closed", "full"])
+def test_unwritable_stderr_keeps_exit_2(redirect):
+    argv = ["cohort", "--publications", "0", "--median-nh", "13824"]
+    result = _run_cli(["-m", "metaaudit.cli", *argv], redirect)
+    assert (result.returncode, result.stdout) == (2, b"")
+
+
+PROCESS_ENTRY = """
+import atexit, os, sys
+class Finalized:
+    def __del__(self, write=os.write):
+        write(2, b"finalized\\n")
+held = Finalized()
+atexit.register(lambda: print("atexit ran", file=sys.stderr))
+if sys.argv[1] == "traced":
+    sys.settrace(lambda frame, event, arg: None)
 from metaaudit.cli import main
+sys.argv[1:2] = []
 sys.exit(main())
 """
 
 
-def test_main_as_the_process_entry_freezes_start_up_objects(capsysbinary):
+@pytest.mark.parametrize("argv, code", [(COHORT, 0), (["cohort", "--publications", "0",
+                                                       "--median-nh", "13824"], 2)],
+                         ids=["success", "bad-input"])
+def test_main_as_the_process_entry_runs_atexit_and_skips_teardown(capsysbinary, argv, code):
+    assert main(argv) == code
+    expected = capsysbinary.readouterr()
+    result = _run_cli(["-c", PROCESS_ENTRY, "plain", *argv])
+    assert (result.returncode, result.stdout) == (code, expected.out), result.stderr
+    assert result.stderr == expected.err + b"atexit ran\n"
+
+
+@pytest.mark.parametrize("mode", ["traced", "dev", "inspect"])
+def test_main_as_an_observed_process_entry_tears_down(capsysbinary, mode):
     assert main(COHORT) == 0
     expected = capsysbinary.readouterr().out
-    result = subprocess.run(
-        [sys.executable, "-c", FROZEN_AT_EXIT, *COHORT],
-        capture_output=True,
-        env={**os.environ, "PYTHONPATH": str(Path(metaaudit.__file__).parent.parent)},
-    )
-    assert (result.returncode, result.stdout) == (0, expected), result.stderr
-    assert int(result.stderr) > 0
+    options = {"traced": [], "dev": ["-X", "dev"], "inspect": ["-i"]}[mode]
+    # Under -i the interactive session that follows the command reads stdin.
+    result = _run_cli([*options, "-c", PROCESS_ENTRY, mode, *COHORT],
+                      input=b"print('inspected')\n")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == expected + (b"inspected\n" if mode == "inspect" else b"")
+    assert result.stderr.splitlines()[-2:] == [b"atexit ran", b"finalized"]
+
+
+def test_main_under_cprofile_prints_its_stats(capsysbinary):
+    assert main(COHORT) == 0
+    expected = capsysbinary.readouterr().out
+    result = _run_cli(["-m", "cProfile", "-m", "metaaudit.cli", *COHORT])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith(expected)
+    assert b"function calls" in result.stdout[len(expected):]
 
 
 @pytest.mark.parametrize(
