@@ -10,6 +10,12 @@ Usage examples:
     metaaudit simulate --config sim.json --output report.json
     metaaudit reproduce --outdir out
 
+A command's plain form, as above, is read straight from the command table:
+each flag spelled in full at most once, with its value as the next argument.
+Every other argv (help, --version, --flag=value, an abbreviation, --, a value
+that starts with "-", a repeated flag, a usage error) goes to argparse's full
+parser, which writes every help, usage and error text.
+
 Exit codes: 0 success, 1 unexpected failure or reproduction mismatch,
 2 bad input (unreadable files, CSV format problems, domain errors, usage
 errors) or an output that cannot be written, stdout included
@@ -18,7 +24,6 @@ errors) or an output that cannot be written, stdout included
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import contextlib
 import errno
@@ -27,10 +32,14 @@ import os
 import sys
 from importlib import util
 from pathlib import Path
-from typing import Any
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any
 
 from . import __version__
 from .errors import AuditError, OutputFileError
+
+if TYPE_CHECKING:
+    import argparse
 
 # perfbench's tracer wraps functions only in the modules that sys.modules
 # lists just after `import metaaudit.cli`. So each module holding one of its
@@ -86,7 +95,7 @@ def _emit(output: str | None, payload: dict[str, Any]) -> int:
     return 0
 
 
-def _cmd_convert(args: argparse.Namespace) -> int:
+def _cmd_convert(args: SimpleNamespace) -> int:
     import csv  # Only convert writes CSV here; simulate and cohort never load it.
 
     from . import effects, ingest
@@ -104,7 +113,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_pool(args: argparse.Namespace) -> int:
+def _cmd_pool(args: SimpleNamespace) -> int:
     from . import ingest, pooling
 
     rows = ingest.ingest_effects(args.input)
@@ -113,7 +122,7 @@ def _cmd_pool(args: argparse.Namespace) -> int:
     return _emit(args.output, {"input": rows.digest, "result": result})
 
 
-def _cmd_plot(args: argparse.Namespace) -> int:
+def _cmd_plot(args: SimpleNamespace) -> int:
     from . import effects, figure, ingest, pvplot, report
 
     path = Path(args.input)
@@ -135,28 +144,28 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: SimpleNamespace) -> int:
     from . import ingest, search_space
 
     counts = ingest.ingest_counts(args.input)
     return _emit(args.output, search_space.count_report(counts, args.alpha))
 
 
-def _cmd_cohort(args: argparse.Namespace) -> int:
+def _cmd_cohort(args: SimpleNamespace) -> int:
     from . import search_space
 
     document = search_space.cohort_report(args.publications, args.median_nh, args.alpha)
     return _emit(args.output, document)
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: SimpleNamespace) -> int:
     from . import simulate
 
     result = simulate.run_simulation(simulate.load_config(args.config))
     return _emit(args.output, result._asdict())
 
 
-def _cmd_reproduce(args: argparse.Namespace) -> int:
+def _cmd_reproduce(args: SimpleNamespace) -> int:
     from . import reproduce
 
     diff = reproduce.run_reproduction(args.outdir)
@@ -175,7 +184,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 
 def _method_options() -> dict[str, Any]:
-    """--method's options, read from effects only when a parser takes the flag."""
+    """--method's options, read from effects only when argv's command takes the flag."""
     from . import effects
 
     methods = effects.ConversionMethod
@@ -190,10 +199,12 @@ _FP_RATE = {"--alpha": dict(type=float, default=0.05, help="false-positive rate 
 
 # Each subcommand: its handler, its help, and the add_argument options of
 # each of its arguments (or a function that returns them), by name, in usage
-# order. Library functions stay out of this table: a handler imports the
-# modules it calls when it runs and reads each function from its module, so
-# only that command's modules execute, and a function patched on its module
-# (perfbench's tracer, unittest.mock.patch) is the one called.
+# order; _read_argv knows only the type, choices, default and required
+# options, and a flag that takes one value. Library functions stay out of
+# this table: a handler imports the modules it calls when it runs and reads
+# each function from its module, so only that command's modules execute, and
+# a function patched on its module (perfbench's tracer, unittest.mock.patch)
+# is the one called.
 _COMMANDS = {
     "convert": (_cmd_convert, "convert OR/CI rows to two-sided p-values (CSV out)",
                 {**_EFFECTS, **_METHOD, **_OUTPUT}),
@@ -236,14 +247,11 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser; with a known command, it holds only that subcommand.
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: main hands it every argv that _read_argv does not
+    read, so it alone writes help, usage and error text."""
+    import argparse  # Only help, errors and the unusual argv forms load it.
 
-    A one-command parser parses that command's argv with the same help,
-    usage and error text as the full one: the metavar keeps every command
-    in the top-level usage line. Any other argv (none, -h, --version, an
-    unknown command) needs the full parser, which build_parser() returns.
-    """
     parser = argparse.ArgumentParser(
         prog="metaaudit",
         description="Reliability audit toolkit for odds-ratio meta-analyses.",
@@ -251,20 +259,52 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
-    single = command in _COMMANDS
-    subparsers = parser.add_subparsers(
-        dest="command", required=True,
-        # The full parser lists every command from its choices; a metavar
-        # there would rename "command" in its missing-argument error.
-        metavar="{" + ",".join(_COMMANDS) + "}" if single else None,
-    )
-    for name in [command] if single else _COMMANDS:
-        handler, help_text, arguments = _COMMANDS[name]
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name, (handler, help_text, arguments) in _COMMANDS.items():
         subparser = subparsers.add_parser(name, help=help_text)
         for argument, options in arguments.items():
             subparser.add_argument(argument, **(options() if callable(options) else options))
         subparser.set_defaults(func=handler)
     return parser
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace that the full parser gives a command's plain form, read
+    from _COMMANDS: each flag in full at most once, its value not starting
+    with "-", the declared positionals and every value valid. None for any
+    other argv, which the full parser takes."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, _, arguments = _COMMANDS[argv[0]]
+    specs = {name: spec() if callable(spec) else spec for name, spec in arguments.items()}
+    given, positionals, tokens = {}, [], iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            value = next(tokens, None)
+            if token not in specs or token in given or value is None or value.startswith("-"):
+                return None
+            given[token] = value
+        else:
+            positionals.append(token)
+    names = [name for name in specs if not name.startswith("-")]
+    if len(positionals) != len(names):
+        return None
+    given.update(zip(names, positionals))
+    args = SimpleNamespace(command=argv[0], func=handler)
+    for name, spec in specs.items():
+        if name not in given:
+            if spec.get("required"):
+                return None
+            value = spec.get("default")
+        else:
+            try:
+                value = spec.get("type", str)(given[name])
+            except ValueError:
+                return None
+            if value not in spec.get("choices", [value]):
+                return None
+        setattr(args, name.lstrip("-").replace("-", "_"), value)
+    return args
 
 
 # The library fields that receive a flag's value, and the flag an error names.
@@ -304,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     entry = argv is None
     if entry:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _read_argv(argv) or build_parser().parse_args(argv, SimpleNamespace())
     try:
         code = args.func(args)
     except AuditError as exc:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import metaaudit
-from metaaudit.cli import build_parser, main
+from metaaudit.cli import _COMMANDS, _read_argv, build_parser, main
 from metaaudit.effects import ConversionMethod
 from metaaudit.figure import audit_report
 from metaaudit.ingest import ingest_counts, ingest_effects
@@ -181,11 +181,120 @@ def _parse_outcome(parse, argv):
     ids=" ".join,
 )
 def test_cli_text_matches_the_full_parser(argv):
-    # main builds only the subparser that argv[0] names; the full parser is
-    # the reference for every help, usage and error byte.
+    # None of these is a command's plain form, so main hands each to the full
+    # parser, the reference for every help, usage and error byte.
     want = _parse_outcome(build_parser().parse_args, argv)
     assert want[1] or want[2]
     assert _parse_outcome(main, argv) == want
+
+
+_SPECS = {name: spec() if callable(spec) else spec
+          for *_, arguments in _COMMANDS.values() for name, spec in arguments.items()}
+_FLAG_NAMES = sorted(name for name in _SPECS if name.startswith("-"))
+_CHOICES = sorted({choice for spec in _SPECS.values() for choice in spec.get("choices", ())})
+_VALUES = ["0.9", "0.05", "1e-3", "107", "13824", "t.csv", "x", "1.5", "nan", "inf", "",
+           " 12 ", "1_0", "12abc", "1e3", "0x10", "-0.1", "-", "--", "-h", "--help",
+           "--version", "--level=0.9", "--mod", "--model=dl"]
+# Values that fit an argument: its choices, or a few of its type's.
+_FITS = {int: ["107", "13824", " 12 ", "1_0", "0"], float: ["0.9", "0.05", "nan", "1e-3"],
+         None: ["t.csv", "out", ""]}
+
+
+@st.composite
+def _argvs(draw):
+    """A command and its arguments in any order, each present or not, with a
+    value that fits or any other token, and now and then a stray token."""
+    command = draw(st.sampled_from([*_COMMANDS, "frobnicate", "-h", "--version"]))
+    arguments = list(_COMMANDS[command][2]) if command in _COMMANDS else []
+    token = st.sampled_from([*_COMMANDS, *_FLAG_NAMES, *_CHOICES, *_VALUES])
+    argv = [command]
+    for name in draw(st.permutations(arguments)):
+        if draw(st.integers(0, 3)) == 0:
+            continue
+        fits = st.sampled_from(_SPECS[name].get("choices") or _FITS[_SPECS[name].get("type")])
+        value = draw(st.one_of(fits, fits, fits, token))
+        argv += [name, value] if name.startswith("-") else [value]
+    for _ in range(draw(st.integers(0, 4)) // 2):
+        argv.insert(draw(st.integers(1, len(argv))), draw(token))
+    return argv
+
+
+def _typed(namespace):
+    return {key: (type(value), repr(value)) for key, value in vars(namespace).items()}
+
+
+@settings(deadline=None, max_examples=1500, derandomize=True)
+@given(_argvs())
+def test_every_argv_the_reader_accepts_parses_the_same(argv):
+    read = _read_argv(argv)
+    if read is None:
+        return
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            parsed = build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"the full parser rejects {argv}: {err.getvalue()}")
+    assert _typed(read) == _typed(parsed)
+
+
+def test_the_reader_accepts_every_plain_form():
+    plain = {
+        "convert": ["convert", "t.csv", "--method", "natural", "--output", "o.csv"],
+        "pool": ["pool", "--level", " 0.9 ", "t.csv", "--model", "dl"],
+        "plot": ["plot", "t.csv", "--alpha", "nan", "--outdir", "out"],
+        "count": ["count", "l.csv", "--alpha", "1_0"],
+        "cohort": ["cohort", "--publications", "107", "--median-nh", "13824"],
+        "simulate": ["simulate", "--config", "c.json"],
+        "reproduce": ["reproduce"],
+    }
+    assert set(plain) == set(_COMMANDS)
+    for argv in plain.values():
+        assert _typed(_read_argv(argv)) == _typed(build_parser().parse_args(argv)), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pool", "t.csv", "--model=dl"],
+        ["pool", "t.csv", "--mod", "dl"],
+        ["pool", "t.csv", "--model", "dl", "--output", "-"],
+        ["count", "l.csv", "--alpha", "0.01", "--alpha", "0.05"],
+        ["pool", "--model", "dl", "--", "t.csv"],
+        ["count", "l.csv", "--alpha", "-0.1"],
+        ["reproduce", "-h"],
+        ["--version"],
+        [],
+    ],
+    ids=" ".join,
+)
+def test_the_reader_passes_every_other_form_to_the_parser(argv):
+    assert _read_argv(argv) is None
+
+
+@pytest.mark.parametrize(
+    "form, plain",
+    [
+        (["cohort", "--publications=107", "--median-nh", "13824"],
+         ["cohort", "--publications", "107", "--median-nh", "13824"]),
+        (["pool", "{table}", "--mod", "dl"], ["pool", "{table}", "--model", "dl"]),
+        (["pool", "{table}", "--model", "dl", "--output", "-"],
+         ["pool", "{table}", "--model", "dl"]),
+        (["count", "{ledger}", "--alpha", "0.01", "--alpha", "0.05"],
+         ["count", "{ledger}", "--alpha", "0.05"]),
+    ],
+    ids=["--publications=107", "--mod", "--output -", "repeated --alpha"],
+)
+def test_a_form_the_reader_passes_over_runs_as_its_plain_form(capsys, form, plain):
+    paths = {"table": fixture_path("asthma_effects.csv"),
+             "ledger": fixture_path("hypothesis_counts.csv")}
+    form, plain = ([arg.format(**paths) for arg in argv] for argv in (form, plain))
+    assert _read_argv(form) is None and _read_argv(plain) is not None
+    outcomes = []
+    for argv in (form, plain):
+        code = main(argv)
+        outcomes.append((code, capsys.readouterr().out))
+    assert outcomes[0] == outcomes[1] and outcomes[0][0] == 0
 
 
 def test_convert_null_or_yields_p_one(tmp_path, capsys):
@@ -575,11 +684,15 @@ def executed():
     return sorted(name.removeprefix("metaaudit.") for name, module in list(sys.modules.items())
                   if name.startswith("metaaudit") and type(module) is types.ModuleType)
 
-print(executed(), "csv" in sys.modules)
+def loaded():
+    # csv, then the full parser's argparse and the gettext and locale it loads.
+    return "csv" in sys.modules, sorted({"argparse", "gettext", "locale"} & set(sys.modules))
+
+print(executed(), *loaded())
 if len(sys.argv) > 1:
     with contextlib.redirect_stdout(io.StringIO()):
         assert metaaudit.cli.main(sys.argv[1:]) == 0
-    print(executed(), "csv" in sys.modules)
+    print(executed(), *loaded())
 """
 _AT_IMPORT = {"metaaudit", "cli", "errors"}
 # ingest imports csv; reading an effects file executes effects (and so normal).
@@ -590,26 +703,33 @@ _ALL_MODULES = _AT_IMPORT | _INGEST | {"figure", "pcg64", "pooling", "pvplot", "
 _SIMULATE = _AT_IMPORT | {"pcg64", "pvplot", "report", "simulate"}
 
 
+_PARSER = ["argparse", "gettext", "locale"]
+
+
 @pytest.mark.parametrize(
-    "command, modules, loads_csv",
+    "command, modules, loads_csv, parser",
     [
-        ([], _AT_IMPORT, False),
-        (["convert", "{asthma}"], _AT_IMPORT | _INGEST, True),
+        ([], _AT_IMPORT, False, []),
+        (["convert", "{asthma}"], _AT_IMPORT | _INGEST, True, []),
         (["pool", "{asthma}", "--model", "dl"], _AT_IMPORT | _INGEST | {"pooling", "report"},
-         True),
-        (["count", "{ledger}"], _AT_IMPORT | {"ingest", "search_space", "report"}, True),
+         True, []),
+        # Not a plain form, so the full parser reads it.
+        (["pool", "{asthma}", "--model=dl"], _AT_IMPORT | _INGEST | {"pooling", "report"},
+         True, _PARSER),
+        (["count", "{ledger}"], _AT_IMPORT | {"ingest", "search_space", "report"}, True, []),
         (["cohort", "--publications", "107", "--median-nh", "13824"],
-         _AT_IMPORT | {"report", "search_space"}, False),
-        (["simulate", "--config", "{config}"], _SIMULATE, False),
-        (["simulate", "--config", "{mixture}"], _SIMULATE | {"normal"}, False),
+         _AT_IMPORT | {"report", "search_space"}, False, []),
+        (["simulate", "--config", "{config}"], _SIMULATE, False, []),
+        (["simulate", "--config", "{mixture}"], _SIMULATE | {"normal"}, False, []),
         (["plot", "{asthma}", "--outdir", "{out}"],
-         _ALL_MODULES - {"pcg64", "search_space", "simulate", "reproduce"}, True),
-        (["reproduce", "--outdir", "{out}"], _ALL_MODULES - {"pcg64", "simulate"}, True),
+         _ALL_MODULES - {"pcg64", "search_space", "simulate", "reproduce"}, True, []),
+        (["reproduce", "--outdir", "{out}"], _ALL_MODULES - {"pcg64", "simulate"}, True, []),
     ],
-    ids=["import", "convert", "pool", "count", "cohort", "simulate", "simulate-mixture", "plot",
-         "reproduce"],
+    ids=["import", "convert", "pool", "pool-parsed", "count", "cohort", "simulate",
+         "simulate-mixture", "plot", "reproduce"],
 )
-def test_each_command_executes_only_the_modules_it_uses(tmp_path, command, modules, loads_csv):
+def test_each_command_executes_only_the_modules_it_uses(tmp_path, command, modules, loads_csv,
+                                                        parser):
     paths = {
         "asthma": fixture_path("asthma_effects.csv"),
         "ledger": fixture_path("hypothesis_counts.csv"),
@@ -626,8 +746,8 @@ def test_each_command_executes_only_the_modules_it_uses(tmp_path, command, modul
     )
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
-    assert (lines[0], lines[-1]) == (f"{sorted(_AT_IMPORT)} False",
-                                     f"{sorted(modules)} {loads_csv}")
+    assert (lines[0], lines[-1]) == (f"{sorted(_AT_IMPORT)} False []",
+                                     f"{sorted(modules)} {loads_csv} {parser}")
 
 
 PATCHED_ON_ITS_MODULE = """
@@ -853,11 +973,19 @@ def test_every_numeric_flag_exits_0_or_2_naming_the_flag(tmp_path, capsys, comma
     fixtures = fixture_path("asthma_effects.csv").parent
     flag = command.split()[1]
     argv = [arg.format(fixtures=fixtures, out=tmp_path) for arg in _FLAG_CASES[command][0]]
-    try:
-        code = main([*argv, f"{flag}={value}"])
-    except SystemExit as exc:  # argparse's own usage errors
-        code = exc.code
-    err = capsys.readouterr().err
+    # The full parser reads --flag=value; main reads "--flag value" itself,
+    # and both must end the same way. argparse takes a value such as -inf
+    # after a space for a flag, so only --flag=value passes it.
+    spellings = [[f"{flag}={value}"], *([[flag, value]] if value[0] != "-" else [])]
+    outcomes = []
+    for spelling in spellings:
+        try:
+            code = main([*argv, *spelling])
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+        outcomes.append((code, capsys.readouterr()))
+    assert outcomes[-1] == outcomes[0]
+    code, (_, err) = outcomes[0]
     assert code in (0, 2), err
     if code == 2:
         assert err.startswith(f"error: {flag}:") or f"argument {flag}:" in err, err
