@@ -50,8 +50,9 @@ except ImportError:
 
 # Cells echoed in error messages are cut to this many characters.
 _QUOTE_CHARS = 40
-# The integer literals int() accepts, signs and digit-group underscores included.
-_INTEGER = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+# The integer literals int() accepts, signs and digit-group underscores
+# included. Only a cell that int() refuses is matched, so it is compiled then.
+_INTEGER = r"\s*[+-]?\d+(?:_\d+)*\s*"
 
 
 def _quote(text: str) -> str:
@@ -83,7 +84,7 @@ def _integer(text: str) -> int:
     except ValueError:
         # int() refuses a well-formed integer over the interpreter's digit
         # limit (sys.get_int_max_str_digits()) before converting it.
-        if _INTEGER.fullmatch(text):
+        if re.fullmatch(_INTEGER, text):
             digits = sum(c.isdigit() for c in text)
             limit = sys.get_int_max_str_digits()
             raise ValueError(
@@ -139,10 +140,10 @@ def _read(
     except OSError as exc:
         raise InputFileError(f"{name}: cannot read: {exc.strerror}") from None
     try:
-        text = data.decode("utf-8-sig")
+        # Stripped here rather than by the utf-8-sig codec, a module to load.
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
-        # exc.object is the input after any byte order mark, as exc.start is.
-        line = exc.object.count(b"\n", 0, exc.start) + 1
+        line = data.count(b"\n", 0, exc.start) + 1
         raise InputFileError(f"{name}:{line}: not UTF-8 text: {exc.reason}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
     parsers = {**columns, **optional}

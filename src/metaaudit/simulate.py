@@ -117,12 +117,12 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 
 def load_config(path: str | Path) -> SimulationConfig:
     """The UTF-8 JSON config at path, BOM or not; its keys are SimulationConfig's fields."""
-    import json  # Only this reader parses JSON; report imports it to write.
+    import json  # Only this reader parses JSON; report writes it unaided.
 
     fields = SimulationConfig._fields
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"),
-                         object_pairs_hook=_unique_keys)
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
         if not isinstance(raw, dict):
             raise ConfigError("simulation config must be a JSON object")
         unknown = sorted(set(raw) - set(fields))

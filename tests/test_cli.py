@@ -607,7 +607,7 @@ for command in sys.argv[1:]:
 
 
 def test_no_command_loads_openssl(tmp_path):
-    # Each command in turn; convert goes first, as json is loaded by the rest.
+    # Each command in turn; simulate goes last, as its config reader loads json.
     asthma, ledger = fixture_path("asthma_effects.csv"), fixture_path("hypothesis_counts.csv")
     config, out = _write(tmp_path, "sim.json", json.dumps(SIM_NULL)), tmp_path / "out"
     commands = [
@@ -616,8 +616,8 @@ def test_no_command_loads_openssl(tmp_path):
         ["plot", asthma, "--outdir", out],
         ["count", ledger],
         ["cohort", "--publications", "107", "--median-nh", "13824"],
-        ["simulate", "--config", config],
         ["reproduce", "--outdir", out],
+        ["simulate", "--config", config],
     ]
     package_root = Path(metaaudit.__file__).parent.parent
     result = subprocess.run(
@@ -627,7 +627,7 @@ def test_no_command_loads_openssl(tmp_path):
         env={**os.environ, "PYTHONPATH": str(package_root)},
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["[]", "[]"] + ["['json']"] * 6
+    assert result.stdout.splitlines() == ["[]"] * 7 + ["['json']"]
 
 
 HASHLIB_FALLBACK = """
@@ -685,8 +685,10 @@ def executed():
                   if name.startswith("metaaudit") and type(module) is types.ModuleType)
 
 def loaded():
-    # csv, then the full parser's argparse and the gettext and locale it loads.
-    return "csv" in sys.modules, sorted({"argparse", "gettext", "locale"} & set(sys.modules))
+    # csv, then the full parser's argparse and the gettext and locale it
+    # loads, then json and the codec that strips a byte order mark.
+    return ("csv" in sys.modules, sorted({"argparse", "gettext", "locale"} & set(sys.modules)),
+            sorted({"json", "encodings.utf_8_sig"} & set(sys.modules)))
 
 print(executed(), *loaded())
 if len(sys.argv) > 1:
@@ -746,8 +748,10 @@ def test_each_command_executes_only_the_modules_it_uses(tmp_path, command, modul
     )
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
-    assert (lines[0], lines[-1]) == (f"{sorted(_AT_IMPORT)} False []",
-                                     f"{sorted(modules)} {loads_csv} {parser}")
+    # Only simulate loads json, to read its config; no command writes with it.
+    json_modules = ["json"] if command[:1] == ["simulate"] else []
+    assert (lines[0], lines[-1]) == (f"{sorted(_AT_IMPORT)} False [] []",
+                                     f"{sorted(modules)} {loads_csv} {parser} {json_modules}")
 
 
 PATCHED_ON_ITS_MODULE = """
@@ -1365,6 +1369,18 @@ def test_simulate_reads_a_config_with_a_byte_order_mark(tmp_path, capsys):
     expected = capsys.readouterr().out
     assert main(["simulate", "--config", marked]) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_simulate_names_the_file_offset_of_a_byte_that_is_not_utf8(tmp_path, capsys):
+    # The offset counts the byte order mark, as it counts any other bytes.
+    for name, data, offset in [("plain.json", b'{"k": \xff}', 6),
+                               ("marked.json", b'\xef\xbb\xbf{"k": \xff}', 9)]:
+        config = tmp_path / name
+        config.write_bytes(data)
+        assert main(["simulate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {config}: invalid JSON: 'utf-8' codec can't decode byte 0xff "
+            f"in position {offset}: invalid start byte\n")
 
 
 def test_simulate_rejects_bad_json(tmp_path, capsys):

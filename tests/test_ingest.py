@@ -144,6 +144,18 @@ def test_non_utf8_line_counted_after_byte_order_mark(tmp_path):
     path.write_bytes(b"\xef\xbb\xbf" + EFFECT_HEADER.encode() + b"A\xff,,1.5,1.1,2.0,\n")
     with pytest.raises(InputFileError, match=r"^bad\.csv:2: not UTF-8 text"):
         ingest_effects(path)
+    path.write_bytes(b"\xef\xbb\xbf\xff" + EFFECT_HEADER.encode())
+    with pytest.raises(InputFileError, match=r"^bad\.csv:1: not UTF-8 text"):
+        ingest_effects(path)
+
+
+def test_only_one_byte_order_mark_is_skipped(tmp_path):
+    # A second mark is text: it stays in the first header cell.
+    path = tmp_path / "twice.csv"
+    path.write_bytes(b"\xef\xbb\xbf" * 2 + (EFFECT_HEADER + "A 2001,,1.5,1.1,2.0,\n").encode())
+    with pytest.raises(CsvFormatError) as info:
+        ingest_effects(path)
+    assert str(info.value) == "twice.csv:1:study_label: required column is missing"
 
 
 def test_cell_diagnostics_carry_file_line_column(tmp_path):

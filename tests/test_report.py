@@ -4,9 +4,16 @@ import copy
 import dataclasses
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
+from enum import Enum, IntEnum
+from pathlib import Path
+from typing import Any, NamedTuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import metaaudit
 from metaaudit import (
@@ -60,6 +67,117 @@ def test_non_finite_rejected():
     # Records are NamedTuples; a dataclass is not one of the serialized types.
     with pytest.raises(DomainError, match="cannot serialize _Dataclass"):
         canonical_json({"x": _Dataclass(0.5)})
+
+
+def test_keys_that_collide_as_strings_are_rejected():
+    # Both keys write as "1"; the dict alone would keep only one value.
+    with pytest.raises(DomainError, match="two keys that both read '1'"):
+        canonical_json({"a": {1: 0.5, "1": 0.25}})
+    with pytest.raises(DomainError, match="two keys that both read 'None'"):
+        canonical_json([{"b": 1, None: 2, "None": 3}])
+
+
+def _two_passes(payload: Any) -> str:
+    """The reference canonical_json must match: a copy of the payload with
+    its floats rounded, written by json.dumps."""
+
+    def value(v):
+        if isinstance(v, bool) or v is None or isinstance(v, (int, str)):
+            return v
+        if isinstance(v, float):
+            return float(f"{v:.6g}")
+        if isinstance(v, tuple) and hasattr(v, "_asdict"):
+            v = v._asdict()
+        if isinstance(v, dict):
+            return {str(k): value(item) for k, item in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [value(item) for item in v]
+        return value(v.value)
+
+    return json.dumps(value(payload), sort_keys=True, indent=2) + "\n"
+
+
+class _Text(Enum):
+    QUOTED = 'say "\u00e9"\\'
+    ASTRAL = "\U0001f600"
+
+
+class _Float(Enum):
+    SMALL = 5e-324
+    LONG = 0.123456789
+
+
+class _Tuple(Enum):
+    PAIR = (1, "\u2028", -0.0)
+
+
+class _Int(IntEnum):
+    BIG = 2**70
+
+
+class _Pair(NamedTuple):
+    left: Any
+    right: Any
+
+
+# Quotes, backslashes, control and non-ASCII characters, astral ones and
+# lone surrogates, which only the escaper sees.
+_STRINGS = st.text(st.characters(exclude_categories=()) | st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600", "\ud800", "\udfff"]))
+_SCALARS = (
+    _STRINGS
+    | st.integers()
+    | st.integers(min_value=2**64).flatmap(lambda n: st.sampled_from([n, -n]))
+    | st.booleans()
+    | st.none()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, sys.float_info.max,
+                       -sys.float_info.max])
+    | st.sampled_from([*_Text, *_Float, *_Tuple, *_Int])
+)
+_KEYS = _STRINGS | st.integers() | st.floats(allow_nan=False) | st.booleans() | st.none()
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.builds(_Pair, children, children)
+        # Keys of mixed types that stay distinct once made strings.
+        | st.dictionaries(_KEYS, children, max_size=4).filter(
+            lambda d: len({str(k) for k in d}) == len(d))
+    ),
+    max_leaves=20,
+)
+
+
+@settings(deadline=None, max_examples=500, derandomize=True)
+@given(_PAYLOADS)
+def test_canonical_json_writes_what_json_dumps_writes(payload):
+    assert canonical_json(payload) == _two_passes(payload)
+
+
+WITHOUT_JSON_ACCELERATOR = """
+import sys
+sys.modules["_json"] = None
+from metaaudit.report import canonical_json
+from metaaudit.reproduce import run_reproduction
+print("json.encoder" in sys.modules)
+sys.stdout.write(canonical_json(run_reproduction()))
+"""
+
+
+def test_a_build_without_the_json_accelerator_writes_the_same_bytes():
+    package_root = Path(metaaudit.__file__).parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", WITHOUT_JSON_ACCELERATOR],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert result.returncode == 0, result.stderr
+    loaded, _, text = result.stdout.partition("\n")
+    assert loaded == "True"
+    assert text == canonical_json(run_reproduction())
 
 
 def test_records_and_enums_serialize_as_fields_and_values():
