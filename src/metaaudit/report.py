@@ -8,9 +8,9 @@ values, so result types go into a report as they are.
 
 ``canonical_json`` writes a document in one pass with its own writer: the
 bytes are those of ``json.dumps(value, sort_keys=True, indent=2)`` on the
-same value with its floats rounded, so no command that only writes JSON
-loads the ``json`` package. Strings are escaped by the C accelerator that
-``json`` itself uses, or by ``json``'s Python escaper on a build without it.
+same value with its floats rounded, so no command loads the ``json``
+package. Strings are escaped by the C accelerator that ``json`` itself
+uses, or by ``json``'s Python escaper on a build without it.
 
 ``document_json`` writes each document and is the one place that stamps
 the package ``version``; the built dicts carry none. They are built where

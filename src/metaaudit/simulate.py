@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, NamedTuple
 
 from .errors import CheckedRecord, ConfigError, check_finite, check_integer
@@ -115,14 +116,50 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return obj
 
 
+# What json's scanner reads of a JSONDecoder: json.loads' defaults, with
+# _unique_keys as the pairs hook.
+_DECODER = dict(strict=True, object_hook=None, object_pairs_hook=_unique_keys,
+                parse_float=float, parse_int=int, memo={},
+                parse_constant={"NaN": math.nan, "Infinity": math.inf,
+                                "-Infinity": -math.inf}.__getitem__)
+try:
+    from _json import make_scanner as _make_scanner
+except ImportError:  # A build without json's C accelerator: its Python scanner.
+    from json.decoder import JSONArray, JSONObject, scanstring
+    from json.scanner import make_scanner as _make_scanner
+
+    _DECODER.update(parse_object=JSONObject, parse_array=JSONArray, parse_string=scanstring)
+_scan_once = _make_scanner(SimpleNamespace(**_DECODER))
+_WHITESPACE = " \t\n\r"
+
+
+def _parse_json(text: str) -> Any:
+    """json.loads(text, object_pairs_hook=_unique_keys), driving its scanner
+    directly; json.decoder loads only to raise an error of its own."""
+    if text.startswith("\ufeff"):
+        message, position = "Unexpected UTF-8 BOM (decode using utf-8-sig)", 0
+    else:
+        try:
+            value, end = _scan_once(text, len(text) - len(text.lstrip(_WHITESPACE)))
+        except StopIteration as stop:
+            message, position = "Expecting value", stop.value
+        else:
+            rest = text[end:].lstrip(_WHITESPACE)
+            if not rest:
+                return value
+            message, position = "Extra data", len(text) - len(rest)
+    from json.decoder import JSONDecodeError
+
+    raise JSONDecodeError(message, text, position)
+
+
 def load_config(path: str | Path) -> SimulationConfig:
     """The UTF-8 JSON config at path, BOM or not; its keys are SimulationConfig's fields."""
-    import json  # Only this reader parses JSON; report writes it unaided.
-
     fields = SimulationConfig._fields
     try:
         text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
-        raw = json.loads(text, object_pairs_hook=_unique_keys)
+        # Read by json's own scanner, so no command loads the json package.
+        raw = _parse_json(text)
         if not isinstance(raw, dict):
             raise ConfigError("simulation config must be a JSON object")
         unknown = sorted(set(raw) - set(fields))

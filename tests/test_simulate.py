@@ -7,17 +7,24 @@ measured values.
 
 import hashlib
 import inspect
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import scipy.stats
 
+import metaaudit
 from metaaudit import ConfigError, PlotVerdict, normal, pvplot, simulate
 from metaaudit.pvplot import PlotConfig, RankedPValues, classify_plot
 from metaaudit.report import canonical_json
 from metaaudit.simulate import (
     Scenario,
     SimulationConfig,
+    load_config,
     run_simulation,
     simulate_trial,
 )
@@ -399,3 +406,123 @@ def test_trial_index_validation():
         simulate_trial(config, -1)
     with pytest.raises(ConfigError):
         simulate_trial(config, 1.5)
+
+
+_NULL_TEXT = '{"scenario": "null", "k": 27, "trials": 200, "seed": 2027}'
+_NULL_CONFIG = _null(trials=200)
+
+
+def _with_log_or(token):
+    return _NULL_TEXT[:-1] + f', "log_or": {token}}}'
+
+
+def _loaded(path):
+    """load_config's config at path, or its ConfigError's text after the path."""
+    try:
+        return load_config(path)
+    except ConfigError as exc:
+        return str(exc).removeprefix(f"{path}: ")
+
+
+# Each text with what load_config gives for it; None where the message is
+# the scanner's own, which may differ between Python versions.
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (" \t\n\r" + _NULL_TEXT + "\r\n\t ", _NULL_CONFIG),
+        ("", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+        (" \t\r\n ", "invalid JSON: Expecting value: line 2 column 2 (char 4)"),
+        # Only space, tab, newline and carriage return are JSON whitespace.
+        ("\f" + _NULL_TEXT, "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+        (_NULL_TEXT + "\u3000", "invalid JSON: Extra data: line 1 column 59 (char 58)"),
+        (_NULL_TEXT + "\n{}", "invalid JSON: Extra data: line 2 column 1 (char 59)"),
+        ("\ufeff\ufeff" + _NULL_TEXT,
+         "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        (_with_log_or("NaN"), "log_or must be a finite number, got nan"),
+        (_with_log_or("Infinity"), "log_or must be a finite number, got inf"),
+        (_with_log_or("-Infinity"), "log_or must be a finite number, got -inf"),
+        (_with_log_or("1e400"), "log_or must be a finite number, got inf"),
+        (_NULL_TEXT.replace('"null"', '"nu\x01ll"'), None),
+        (_NULL_TEXT.replace('"null"', '"\\ud800"'),
+         "scenario must be one of: null, fixed_effect, mixture"),
+        ('{"se_range": [0.1, 0.3', None),
+        ("[" * 100_000, None),
+        (_NULL_TEXT[:-1] + ', "k": 5}', "duplicate config key: k"),
+        ("[1, 2]", "simulation config must be a JSON object"),
+    ],
+    ids=["whitespace", "empty", "only-whitespace", "form-feed", "ideographic-space",
+         "trailing-data", "second-bom", "nan", "infinity", "minus-infinity", "1e400",
+         "control-character", "lone-surrogate", "unterminated-array", "deep-nesting",
+         "duplicate-key", "not-an-object"],
+)
+def test_load_config_reads_as_json_loads_does(tmp_path, monkeypatch, text, expected):
+    path = tmp_path / "sim.json"
+    path.write_text(text, encoding="utf-8")
+    loaded = _loaded(path)
+    if expected is not None:
+        assert loaded == expected
+    else:
+        assert loaded.startswith("invalid JSON: ")
+    # The same config, or the same message, as json.loads gives the reader.
+    monkeypatch.setattr(simulate, "_parse_json",
+                        lambda text: json.loads(text, object_pairs_hook=simulate._unique_keys))
+    assert loaded == _loaded(path)
+
+
+WITHOUT_JSON_ACCELERATOR = """
+import sys
+sys.modules["_json"] = None
+from metaaudit import simulate
+print(simulate._scan_once.__module__)
+print(repr(simulate.load_config(sys.argv[1])))
+"""
+
+
+def test_a_build_without_the_json_accelerator_reads_the_same_config(tmp_path):
+    path = tmp_path / "sim.json"
+    path.write_text(_NULL_TEXT, encoding="utf-8")
+    package_root = Path(metaaudit.__file__).parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", WITHOUT_JSON_ACCELERATOR, str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert simulate._scan_once.__module__ == "_json"
+    assert result.stdout.splitlines() == ["json.scanner", repr(_NULL_CONFIG)]
+
+
+ONLY_AN_ERROR_LOADS_JSON = """
+import sys
+from metaaudit.errors import ConfigError
+from metaaudit.simulate import load_config
+
+def loaded():
+    return sorted(name for name in sys.modules if name == "json" or name.startswith("json."))
+
+load_config(sys.argv[1])
+print(loaded())
+try:
+    load_config(sys.argv[2])
+except ConfigError:
+    print(loaded())
+"""
+
+
+def test_only_a_malformed_config_loads_json(tmp_path):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(_NULL_TEXT, encoding="utf-8")
+    bad.write_text(_NULL_TEXT + " x", encoding="utf-8")
+    package_root = Path(metaaudit.__file__).parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", ONLY_AN_ERROR_LOADS_JSON, str(good), str(bad)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert result.returncode == 0, result.stderr
+    # Raising json.decoder's own error imports it, and with it the package.
+    first, second = result.stdout.splitlines()
+    assert first == "[]"
+    assert "json.decoder" in second
